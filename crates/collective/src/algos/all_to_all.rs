@@ -4,9 +4,10 @@
 //! chunk `b` lands in rank `b`'s output slot `a`.
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
-use hw::{BufferId, Rank};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use hw::{BufferId, DataType, Rank, ReduceOp};
+use mscclpp::{Kernel, KernelBuilder, Protocol, Result, Setup};
 
+use super::Plan;
 use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
@@ -26,8 +27,6 @@ pub(crate) struct AllPairsAllToAll {
     node_of: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Per-pair chunk capacity in bytes.
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     mesh: MemMesh,
@@ -41,7 +40,6 @@ impl AllPairsAllToAll {
         group: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
     ) -> Result<AllPairsAllToAll> {
@@ -87,24 +85,19 @@ impl AllPairsAllToAll {
             node_of,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             mesh,
             cross,
         })
     }
+}
 
+impl Plan for AllPairsAllToAll {
     /// Kernels exchanging `bytes` per (src, dst) pair: inputs and outputs
     /// hold `N * bytes` each, chunk `i` addressed to / received from
     /// rank `i`.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.group.len();
         let same = |ia: usize, ib: usize| self.node_of[ia] == self.node_of[ib];
         let mut out = Vec::with_capacity(n);

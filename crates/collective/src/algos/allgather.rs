@@ -1,9 +1,10 @@
 //! AllGather algorithms: all-pairs (LL and HB) for single node and
 //! hierarchical for multi-node clusters (§5.1's AllGather evaluation).
 
-use hw::{BufferId, DataType, Rank};
+use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
 
+use super::Plan;
 use crate::algos::allreduce::PeerOrder;
 use crate::wiring::{isect, node_groups, split_range, MemMesh, PortMesh};
 
@@ -36,8 +37,6 @@ pub(crate) struct AllPairsAllGather {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Per-rank chunk capacity in bytes.
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     order: PeerOrder,
@@ -51,7 +50,6 @@ impl AllPairsAllGather {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
         order: PeerOrder,
@@ -61,22 +59,17 @@ impl AllPairsAllGather {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             order,
             mesh,
         })
     }
+}
 
+impl Plan for AllPairsAllGather {
     /// Kernels gathering `bytes` per rank.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ranks.len();
         let mut out = Vec::with_capacity(n);
         for (ig, &g) in self.ranks.iter().enumerate() {
@@ -123,7 +116,6 @@ pub(crate) struct HierAllGather {
     gpn: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     cross: Vec<PortMesh>,
@@ -135,7 +127,6 @@ impl HierAllGather {
         setup: &mut Setup<'_>,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
     ) -> Result<HierAllGather> {
@@ -164,22 +155,17 @@ impl HierAllGather {
             gpn,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             cross,
             local,
         })
     }
+}
 
+impl Plan for HierAllGather {
     /// Kernels gathering `bytes` per rank.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let mut out = Vec::with_capacity(self.world.len());
         for &g in &self.world {
             let node = g.0 / self.gpn;
@@ -244,7 +230,6 @@ pub(crate) struct AllPairsAllGatherPort {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     mesh: PortMesh,
 }
@@ -255,7 +240,6 @@ impl AllPairsAllGatherPort {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<AllPairsAllGatherPort> {
         let mesh = PortMesh::build(setup, ranks, inputs, outputs, tbs)?;
@@ -263,20 +247,15 @@ impl AllPairsAllGatherPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             mesh,
         })
     }
+}
 
+impl Plan for AllPairsAllGatherPort {
     /// Kernels gathering `bytes` per rank via DMA.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ranks.len();
         let mut out = Vec::with_capacity(n);
         for (ig, &g) in self.ranks.iter().enumerate() {
@@ -330,7 +309,6 @@ pub(crate) struct ShrunkenHierAllGather {
     k: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     /// Per node: members' chunks into the leader's output.
     up: Vec<MemMesh>,
@@ -346,7 +324,6 @@ impl ShrunkenHierAllGather {
         group: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<ShrunkenHierAllGather> {
         let topo = setup.topology();
@@ -392,22 +369,17 @@ impl ShrunkenHierAllGather {
             k: pos,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             up,
             cross,
             down,
         })
     }
+}
 
+impl Plan for ShrunkenHierAllGather {
     /// Kernels gathering `bytes` per survivor into position-indexed slots.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let total = self.k * bytes;
         let nleads = self.node_members.len();
         let mut out = Vec::new();

@@ -16,6 +16,7 @@ use mscclpp::{
     Setup, SwitchChannel,
 };
 
+use super::Plan;
 use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
 
 /// How an LL-protocol algorithm makes its scratch safe for the next
@@ -129,14 +130,10 @@ impl OnePhaseAllPairs {
             calls: Cell::new(0),
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for OnePhaseAllPairs {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let set = self.calls.get() % 2;
         self.calls.set(self.calls.get() + 1);
         let mesh = &self.meshes[set];
@@ -179,7 +176,6 @@ pub(crate) struct TwoPhaseAllPairsLl {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap_elems_times_es: usize,
     slot_cap: usize,
     tbs: usize,
     reuse: ScratchReuse,
@@ -242,7 +238,6 @@ impl TwoPhaseAllPairsLl {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap_elems_times_es: cap,
             slot_cap,
             tbs,
             reuse,
@@ -254,14 +249,10 @@ impl TwoPhaseAllPairsLl {
             calls: Cell::new(0),
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap_elems_times_es {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap_elems_times_es
-            )));
-        }
+impl Plan for TwoPhaseAllPairsLl {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let set = match self.reuse {
             ScratchReuse::Rotate => {
                 let s = self.calls.get() % 2;
@@ -349,7 +340,6 @@ pub(crate) struct TwoPhaseAllPairsHb {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     order: PeerOrder,
     mesh_read: MemMesh,
@@ -363,7 +353,6 @@ impl TwoPhaseAllPairsHb {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         order: PeerOrder,
     ) -> Result<TwoPhaseAllPairsHb> {
@@ -373,21 +362,16 @@ impl TwoPhaseAllPairsHb {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             order,
             mesh_read,
             mesh_ag,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for TwoPhaseAllPairsHb {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -438,7 +422,6 @@ pub(crate) struct TwoPhaseAllPairsPort {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     slot_cap: usize,
     tbs: usize,
     mesh_rs: PortMesh,
@@ -467,7 +450,6 @@ impl TwoPhaseAllPairsPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             slot_cap,
             tbs,
             mesh_rs,
@@ -475,14 +457,10 @@ impl TwoPhaseAllPairsPort {
             scratch,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for TwoPhaseAllPairsPort {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -559,7 +537,6 @@ impl TwoPhaseAllPairsPort {
 pub(crate) struct TwoPhaseSwitch {
     ranks: Vec<Rank>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     reduce_ch: Vec<SwitchChannel>,
     bcast_ch: Vec<SwitchChannel>,
@@ -572,7 +549,6 @@ impl TwoPhaseSwitch {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<TwoPhaseSwitch> {
         let in_members: Vec<_> = ranks.iter().map(|&r| (r, inputs[r.0])).collect();
@@ -583,21 +559,16 @@ impl TwoPhaseSwitch {
         Ok(TwoPhaseSwitch {
             ranks: ranks.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             reduce_ch,
             bcast_ch,
             barriers,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for TwoPhaseSwitch {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -698,7 +669,6 @@ pub(crate) struct RingAllReduce {
     ring: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     /// Endpoint on the rank at ring position `pos` putting into its
     /// successor's scratch (reduce-scatter direction).
     rs_fwd: Vec<MemoryChannel>,
@@ -790,7 +760,6 @@ impl RingAllReduce {
             ring,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             rs_fwd,
             rs_back,
             ag_fwd,
@@ -798,14 +767,10 @@ impl RingAllReduce {
             scratch,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for RingAllReduce {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.ring.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -864,7 +829,6 @@ pub(crate) struct TwoPhaseHierarchical {
     gpn: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     shard_cap: usize,
     tbs: usize,
     hb: bool,
@@ -969,7 +933,6 @@ impl TwoPhaseHierarchical {
             gpn,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             shard_cap,
             tbs,
             hb,
@@ -983,14 +946,10 @@ impl TwoPhaseHierarchical {
             scratch_b,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for TwoPhaseHierarchical {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, self.gpn, i);
@@ -1247,14 +1206,10 @@ impl ShrunkenHierarchical {
             gather,
         })
     }
+}
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+impl Plan for ShrunkenHierarchical {
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let nleads = self.node_members.len();
         let mut out = Vec::new();
         for (ni, members) in self.node_members.iter().enumerate() {

@@ -2,9 +2,10 @@
 //! node-leader relay for multi-node clusters, and an NVSwitch multicast
 //! variant on hardware with multimem support.
 
-use hw::{BufferId, Rank};
+use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
 
+use super::Plan;
 use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
 
 /// Broadcast from a root rank.
@@ -26,7 +27,6 @@ pub(crate) struct AllPairsBroadcast {
     root: Rank,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     /// Index into `node_members[ni]` of node `ni`'s leader.
     leader_mi: Vec<usize>,
@@ -47,7 +47,6 @@ impl AllPairsBroadcast {
         root: Rank,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<AllPairsBroadcast> {
         let topo = setup.topology();
@@ -105,7 +104,6 @@ impl AllPairsBroadcast {
             root,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             leader_mi,
             root_ni,
@@ -146,15 +144,11 @@ impl AllPairsBroadcast {
         }
         out
     }
+}
 
+impl Plan for AllPairsBroadcast {
     /// Kernels broadcasting `bytes` from the root.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         if self.node_members.len() == 1 {
             return Ok(self.single_node_kernels(bytes));
         }
@@ -213,7 +207,6 @@ pub(crate) struct SwitchBroadcast {
     ranks: Vec<Rank>,
     root: Rank,
     inputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     chan: Vec<SwitchChannel>,
     barriers: Vec<mscclpp::DeviceBarrier>,
@@ -227,7 +220,6 @@ impl SwitchBroadcast {
         root: Rank,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<SwitchBroadcast> {
         let topo = setup.topology();
@@ -252,21 +244,16 @@ impl SwitchBroadcast {
             ranks,
             root,
             inputs: inputs.to_vec(),
-            cap,
             tbs,
             chan,
             barriers,
         })
     }
+}
 
+impl Plan for SwitchBroadcast {
     /// Kernels broadcasting `bytes` from the root through the switch.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, _dtype: DataType, _op: ReduceOp) -> Result<Vec<Kernel>> {
         let mut out = Vec::with_capacity(self.ranks.len());
         for (ig, &g) in self.ranks.iter().enumerate() {
             let mut kb = KernelBuilder::new(g);

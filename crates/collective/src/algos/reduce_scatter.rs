@@ -3,8 +3,9 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{Kernel, KernelBuilder, Protocol, Result, Setup};
 
+use super::Plan;
 use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
@@ -26,8 +27,6 @@ pub(crate) struct AllPairsReduceScatter {
     node_of: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Total input capacity in bytes (output shard is `cap / N`).
-    cap: usize,
     slot_cap: usize,
     tbs: usize,
     protocol: Protocol,
@@ -99,7 +98,6 @@ impl AllPairsReduceScatter {
             node_of,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             slot_cap,
             tbs,
             protocol,
@@ -108,16 +106,12 @@ impl AllPairsReduceScatter {
             scratch,
         })
     }
+}
 
+impl Plan for AllPairsReduceScatter {
     /// Kernels reducing `bytes` of total input per rank (each rank's
     /// output shard is `bytes / N`, rank-indexed).
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
         let n = self.group.len();
         let es = dtype.size();
         let count = bytes / es;

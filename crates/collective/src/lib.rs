@@ -19,6 +19,22 @@
 //! Users can also plug in custom algorithms (the paper's extension
 //! point) via [`CollComm::set_custom_all_reduce`].
 //!
+//! # One launch path
+//!
+//! Every entry point — automatic (`all_reduce`), explicit
+//! (`all_reduce_with`), plan inspection (`plan_all_reduce_with`) and the
+//! replay after a [`CollComm::shrink`] — describes its call as one
+//! launch: the collective and its algorithm, the buffers, `count`,
+//! `dtype`, `op` and `root`. Every launch then takes the same path.
+//! *Fit* re-plans the algorithm onto the live world: around the fault
+//! plan's permanent faults (automatic calls only), then onto the epoch's
+//! rank group, counting a changed algorithm once under `fault.replans`.
+//! *Build* checks there is a buffer per rank, prepares the channel set
+//! cached under the launch's algorithm, buffers and root (or reuses it)
+//! and compiles its kernel batch (or replays the cached one). *Launch* proves the first batch of each plan
+//! with `commverify`, runs it, and keeps the launch for replay until it
+//! completes.
+//!
 //! # Example
 //!
 //! ```
@@ -58,13 +74,12 @@ use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
 use mscclpp::{Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
 use sim::{Duration, Engine};
 
+use algos::Plan;
+use selector::{select_all_to_all, select_broadcast, select_reduce_scatter, Live};
 use wiring::split_range;
 
 pub use algos::{PeerOrder, ScratchReuse};
-pub use selector::{
-    degrade_all_reduce, degrade_broadcast, fit_all_gather, fit_all_reduce, select_all_gather,
-    select_all_reduce,
-};
+pub use selector::{select_all_gather, select_all_reduce};
 pub use straggler::StragglerPolicy;
 
 use algos::all_to_all::AllPairsAllToAll;
@@ -229,58 +244,87 @@ pub struct Recovery {
     pub failover_root: Option<Rank>,
 }
 
-/// Everything needed to replay the collective that a launch was running
-/// when a rank died mid-flight.
-#[derive(Debug, Clone)]
-enum LaunchRecord {
-    AllReduce {
-        algo: AllReduceAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    },
-    AllGather {
-        algo: AllGatherAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-    },
-    ReduceScatter {
-        algo: ReduceScatterAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    },
-    Broadcast {
-        algo: BroadcastAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        root: Rank,
-    },
-    AllToAll {
-        algo: AllToAllAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-    },
+/// The algorithm of any of the five collectives: which collective a
+/// launch runs, and how.
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Algo {
+    AllReduce(AllReduceAlgo),
+    AllGather(AllGatherAlgo),
+    ReduceScatter(ReduceScatterAlgo),
+    Broadcast(BroadcastAlgo),
+    AllToAll(AllToAllAlgo),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Ar(AllReduceAlgo, Vec<BufferId>, Vec<BufferId>),
-    Ag(AllGatherAlgo, Vec<BufferId>, Vec<BufferId>),
-    Rs(ReduceScatterAlgo, Vec<BufferId>, Vec<BufferId>),
-    Bc(BroadcastAlgo, Rank, Vec<BufferId>, Vec<BufferId>),
-    A2a(AllToAllAlgo, Vec<BufferId>, Vec<BufferId>),
+/// What a prepared plan is cached under: the algorithm and the buffers
+/// (and root) its channels are wired to.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Key {
+    algo: Algo,
+    root: Rank,
+    inputs: Vec<BufferId>,
+    outputs: Vec<BufferId>,
 }
+
+/// One collective call: everything needed to plan it, run it, and replay
+/// it on the survivors when a rank dies mid-flight.
+#[derive(Clone)]
+struct Launch {
+    key: Key,
+    count: usize,
+    dtype: DataType,
+    op: ReduceOp,
+}
+
+/// The `op` of a collective that does not reduce.
+const NO_OP: ReduceOp = ReduceOp::Sum;
+/// The `root` of a collective other than Broadcast.
+const NO_ROOT: Rank = Rank(0);
+
+impl Launch {
+    fn new(
+        algo: Algo,
+        inputs: &[BufferId],
+        outputs: &[BufferId],
+        count: usize,
+        dtype: DataType,
+        op: ReduceOp,
+        root: Rank,
+    ) -> Launch {
+        Launch {
+            key: Key {
+                algo,
+                root,
+                inputs: inputs.to_vec(),
+                outputs: outputs.to_vec(),
+            },
+            count,
+            dtype,
+            op,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.count * self.dtype.size()
+    }
+}
+
+/// Whether a launch re-plans around the fault plan's permanent faults.
+#[derive(Clone, Copy)]
+enum Caller {
+    /// An automatic entry point: route around permanent faults.
+    Auto,
+    /// An explicit `*_with` call, plan inspection or a replay: run as
+    /// asked and surface the fault.
+    Explicit,
+}
+
+/// Thread blocks for latency-bound (small-message) kernels.
+const TBS_SMALL: usize = 1;
+/// Thread blocks for bandwidth-bound (large-message) kernels.
+const TBS_LARGE: usize = 4;
+
+/// The launch shape a kernel batch is built for: `(bytes, dtype, op)`.
+type Shape = (usize, DataType, ReduceOp);
 
 /// One cached plan: the byte capacity its channels were wired for, the
 /// prepared channel set, and whether the static verifier has already
@@ -288,92 +332,14 @@ enum Key {
 struct Entry {
     cap: usize,
     verified: Cell<bool>,
-    plan: Prepared,
-    /// The kernel batch last built from this plan, keyed by its launch
-    /// shape. Steady-state collectives on the same tensors (the LLM
-    /// inference pattern) replay the cached batch instead of rebuilding
-    /// every instruction program; re-preparing for a larger capacity
-    /// replaces the whole entry, so a stale batch cannot survive.
-    kernels: RefCell<Option<BuiltKernels>>,
-}
-
-/// A kernel batch and the launch shape it was built for. `dtype`/`op`
-/// are `None` for collectives whose kernels do not depend on them
-/// (broadcast, all-to-all).
-struct BuiltKernels {
-    bytes: usize,
-    dtype: Option<DataType>,
-    op: Option<ReduceOp>,
-    batch: Rc<Vec<Kernel>>,
-}
-
-impl Entry {
-    /// The cached batch for this launch shape, if it is the one most
-    /// recently built.
-    fn cached_kernels(
-        &self,
-        bytes: usize,
-        dtype: Option<DataType>,
-        op: Option<ReduceOp>,
-    ) -> Option<Rc<Vec<Kernel>>> {
-        self.kernels
-            .borrow()
-            .as_ref()
-            .filter(|c| c.bytes == bytes && c.dtype == dtype && c.op == op)
-            .map(|c| Rc::clone(&c.batch))
-    }
-
-    fn store_kernels(
-        &self,
-        bytes: usize,
-        dtype: Option<DataType>,
-        op: Option<ReduceOp>,
-        batch: &Rc<Vec<Kernel>>,
-    ) {
-        *self.kernels.borrow_mut() = Some(BuiltKernels {
-            bytes,
-            dtype,
-            op,
-            batch: Rc::clone(batch),
-        });
-    }
-}
-
-enum Prepared {
-    Ar1pa(Rc<OnePhaseAllPairs>),
-    Ar2paLl(Rc<TwoPhaseAllPairsLl>),
-    Ar2paHb(Rc<TwoPhaseAllPairsHb>),
-    Ar2paPort(Rc<TwoPhaseAllPairsPort>),
-    Ar2paSwitch(Rc<TwoPhaseSwitch>),
-    ArHier(Rc<TwoPhaseHierarchical>),
-    ArHierShrunk(Rc<ShrunkenHierarchical>),
-    ArRing(Rc<RingAllReduce>),
-    AgAp(Rc<AllPairsAllGather>),
-    AgPort(Rc<AllPairsAllGatherPort>),
-    AgHier(Rc<HierAllGather>),
-    AgHierShrunk(Rc<ShrunkenHierAllGather>),
-    RsAp(Rc<AllPairsReduceScatter>),
-    BcAp(Rc<AllPairsBroadcast>),
-    BcSwitch(Rc<SwitchBroadcast>),
-    A2aAp(Rc<AllPairsAllToAll>),
-}
-
-/// Thread-block counts used by the default kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollConfig {
-    /// Blocks for latency-bound (small-message) kernels.
-    pub tbs_small: usize,
-    /// Blocks for bandwidth-bound (large-message) kernels.
-    pub tbs_large: usize,
-}
-
-impl Default for CollConfig {
-    fn default() -> CollConfig {
-        CollConfig {
-            tbs_small: 1,
-            tbs_large: 4,
-        }
-    }
+    plan: Box<dyn Plan>,
+    /// The kernel batch last built from this plan, with the launch shape
+    /// it was built for. Steady-state collectives on the same tensors
+    /// (the LLM inference pattern) replay the cached batch instead of
+    /// rebuilding every instruction program; re-preparing for a larger
+    /// capacity replaces the whole entry, so a stale batch cannot
+    /// survive.
+    kernels: RefCell<Option<(Shape, Rc<Vec<Kernel>>)>>,
 }
 
 /// The NCCL-compatible communicator of the MSCCL++ Collective API.
@@ -382,7 +348,6 @@ impl Default for CollConfig {
 /// repeated collectives on the same tensors (the LLM inference pattern)
 /// reuse their channels, exactly as a real communicator would.
 pub struct CollComm {
-    cfg: CollConfig,
     ov: Overheads,
     /// Durable transport state (bootstrap rendezvous + proxy-FIFO
     /// registry) that survives across epochs and powers the drain.
@@ -394,7 +359,7 @@ pub struct CollComm {
     group: RefCell<Option<Vec<Rank>>>,
     /// The collective currently in flight (set at launch, cleared on
     /// success) — what [`CollComm::shrink`] replays or rejects.
-    pending: RefCell<Option<LaunchRecord>>,
+    pending: RefCell<Option<Launch>>,
     prepared: RefCell<HashMap<Key, Entry>>,
     custom_all_reduce: Option<Box<dyn CustomAllReduce>>,
     verify: bool,
@@ -409,7 +374,6 @@ pub struct CollComm {
 impl std::fmt::Debug for CollComm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CollComm")
-            .field("cfg", &self.cfg)
             .field("epoch", &self.epoch.get())
             .field("group", &self.group.borrow())
             .field("prepared", &self.prepared.borrow().len())
@@ -435,7 +399,6 @@ impl CollComm {
     /// executor passes [`Overheads::mscclpp_dsl`]).
     pub fn with_overheads(ov: Overheads) -> CollComm {
         CollComm {
-            cfg: CollConfig::default(),
             ov,
             comm: Comm::new(),
             epoch: Cell::new(0),
@@ -462,17 +425,6 @@ impl CollComm {
             .borrow()
             .clone()
             .unwrap_or_else(|| engine.world().topology().ranks().collect())
-    }
-
-    /// Fits an explicitly asked algorithm onto the active group and
-    /// attributes any forced re-plan to the shared `fault.replans`
-    /// counter (the same counter the automatic entry points bump when
-    /// they degrade around permanent faults).
-    fn fit_replan<T: PartialEq + Copy>(engine: &mut Engine<Machine>, asked: T, fitted: T) -> T {
-        if fitted != asked {
-            engine.count("fault.replans", 1);
-        }
-        fitted
     }
 
     /// Enables or disables plan verification (on by default). When on,
@@ -502,24 +454,6 @@ impl CollComm {
     /// algorithm selection.
     pub fn set_custom_all_reduce(&mut self, algo: Box<dyn CustomAllReduce>) {
         self.custom_all_reduce = Some(algo);
-    }
-
-    fn run(&self, engine: &mut Engine<Machine>, kernels: &Rc<Vec<Kernel>>) -> Result<KernelTiming> {
-        mscclpp::record_launch_mix(engine, "mscclpp", kernels.as_slice());
-        let timing = if self.sanitize {
-            let (timing, report) =
-                mscclpp::run_kernels_sanitized_shared(engine, kernels, &self.ov)?;
-            if let Some(race) = report.races.first() {
-                return Err(mscclpp::Error::Verification(format!(
-                    "dynamic sanitizer: {race}"
-                )));
-            }
-            timing
-        } else {
-            mscclpp::run_kernels_shared(engine, kernels, &self.ov)?
-        };
-        self.observe_stragglers(engine, &timing);
-        Ok(timing)
     }
 
     /// Feeds one successful launch's per-rank completion times into the
@@ -577,48 +511,6 @@ impl CollComm {
         Ok(Some(recovery))
     }
 
-    /// Runs the static verifier — including the semantic dataflow pass
-    /// against the collective's declared spec — over a freshly-built
-    /// kernel batch, once per prepared plan (re-verified if the plan is
-    /// rebuilt for a larger capacity).
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        key: &Key,
-        kernels: &[Kernel],
-        spec: &CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify {
-            return Ok(());
-        }
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(key).expect("just prepared");
-        if entry.verified.get() {
-            return Ok(());
-        }
-        commverify::verify_collective(
-            kernels,
-            engine.world().pool(),
-            &commverify::Checks::all(),
-            spec,
-        )?;
-        entry.verified.set(true);
-        Ok(())
-    }
-
-    /// The spec member list for the current epoch's group: survivors in
-    /// position order, each bound to its caller-indexed buffers.
-    fn spec_members(group: &[Rank], inputs: &[BufferId], outputs: &[BufferId]) -> Vec<SpecMember> {
-        group
-            .iter()
-            .map(|&r| SpecMember {
-                rank: r,
-                input: inputs[r.0],
-                output: outputs[r.0],
-            })
-            .collect()
-    }
-
     /// AllReduce with automatic algorithm selection (the NCCL-API entry
     /// point).
     ///
@@ -637,61 +529,9 @@ impl CollComm {
         if let Some(custom) = &self.custom_all_reduce {
             return custom.run(engine, inputs, outputs, count, dtype, op);
         }
-        let selected = select_all_reduce(engine.world(), count * dtype.size());
-        // Graceful degradation: permanent faults in the active fault plan
-        // force a re-plan onto whatever topology is still alive (explicit
-        // all_reduce_with calls run as-asked and surface the fault).
-        let degraded = degrade_all_reduce(engine, selected);
-        let algo = Self::fit_replan(engine, selected, degraded);
-        self.all_reduce_with(engine, inputs, outputs, count, dtype, op, algo)
-    }
-
-    /// Prepares channels and builds (or replays from cache) the kernel
-    /// batch for one AllReduce launch shape, plus the spec the batch
-    /// must satisfy.
-    #[allow(clippy::too_many_arguments)]
-    fn build_all_reduce(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        algo: AllReduceAlgo,
-    ) -> Result<(AllReduceAlgo, Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        // On a shrunken epoch the asked algorithm may be impossible on a
-        // subset (hierarchical layouts collapsed onto one node); re-map
-        // it and attribute the re-plan before the key is formed.
-        let group = self.active_group(engine);
-        let topo = engine.world().topology();
-        let algo = Self::fit_replan(engine, algo, fit_all_reduce(algo, &group, &topo));
-        let key = Key::Ar(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), Some(op)) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::Ar1pa(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paLl(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paHb(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paPort(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paSwitch(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArHier(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArHierShrunk(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArRing(a) => a.kernels(bytes, dtype, op)?,
-                    _ => unreachable!("allreduce key maps to allreduce algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), Some(op), &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let spec = CollectiveSpec::all_reduce(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((algo, key, kernels, spec))
+        let algo = Algo::AllReduce(select_all_reduce(engine.world(), count * dtype.size()));
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT);
+        self.launch(engine, Caller::Auto, launch)
     }
 
     /// Compiles the kernel batch an AllReduce launch would run — and the
@@ -713,9 +553,11 @@ impl CollComm {
         op: ReduceOp,
         algo: AllReduceAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, _, kernels, spec) =
-            self.build_all_reduce(engine, inputs, outputs, count, dtype, op, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let algo = Algo::AllReduce(algo);
+        self.plan(
+            engine,
+            Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT),
+        )
     }
 
     /// AllReduce with an explicit algorithm.
@@ -737,20 +579,9 @@ impl CollComm {
         op: ReduceOp,
         algo: AllReduceAlgo,
     ) -> Result<KernelTiming> {
-        let (algo, key, kernels, spec) =
-            self.build_all_reduce(engine, inputs, outputs, count, dtype, op, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllReduce {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            op,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let algo = Algo::AllReduce(algo);
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT);
+        self.launch(engine, Caller::Explicit, launch)
     }
 
     /// AllGather with automatic algorithm selection. `count` is the
@@ -767,48 +598,9 @@ impl CollComm {
         count: usize,
         dtype: DataType,
     ) -> Result<KernelTiming> {
-        let algo = select_all_gather(engine.world(), count * dtype.size());
-        // Degradation (shrunken-epoch re-mapping) happens inside
-        // `all_gather_with`, attributed to the shared replan counter.
-        self.all_gather_with(engine, inputs, outputs, count, dtype, algo)
-    }
-
-    /// Prepares channels and builds (or replays from cache) one
-    /// AllGather launch shape's kernel batch and spec.
-    fn build_all_gather(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        algo: AllGatherAlgo,
-    ) -> Result<(AllGatherAlgo, Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let group = self.active_group(engine);
-        let topo = engine.world().topology();
-        let algo = Self::fit_replan(engine, algo, fit_all_gather(algo, &group, &topo));
-        let key = Key::Ag(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::AgAp(a) => a.kernels(bytes, dtype)?,
-                    Prepared::AgPort(a) => a.kernels(bytes)?,
-                    Prepared::AgHier(a) => a.kernels(bytes, dtype)?,
-                    Prepared::AgHierShrunk(a) => a.kernels(bytes, dtype)?,
-                    _ => unreachable!("allgather key maps to allgather algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let spec = CollectiveSpec::all_gather(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((algo, key, kernels, spec))
+        let algo = Algo::AllGather(select_all_gather(engine.world(), count * dtype.size()));
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT);
+        self.launch(engine, Caller::Auto, launch)
     }
 
     /// Compiles an AllGather launch's kernel batch and spec without
@@ -826,9 +618,11 @@ impl CollComm {
         dtype: DataType,
         algo: AllGatherAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, _, kernels, spec) =
-            self.build_all_gather(engine, inputs, outputs, count, dtype, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let algo = Algo::AllGather(algo);
+        self.plan(
+            engine,
+            Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT),
+        )
     }
 
     /// AllGather with an explicit algorithm.
@@ -836,7 +630,6 @@ impl CollComm {
     /// # Errors
     ///
     /// Propagates kernel deadlocks and invalid-argument errors.
-    #[allow(clippy::too_many_arguments)]
     pub fn all_gather_with(
         &self,
         engine: &mut Engine<Machine>,
@@ -846,19 +639,9 @@ impl CollComm {
         dtype: DataType,
         algo: AllGatherAlgo,
     ) -> Result<KernelTiming> {
-        let (algo, key, kernels, spec) =
-            self.build_all_gather(engine, inputs, outputs, count, dtype, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllGather {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let algo = Algo::AllGather(algo);
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT);
+        self.launch(engine, Caller::Explicit, launch)
     }
 
     /// ReduceScatter with automatic algorithm selection. `count` is the
@@ -877,60 +660,9 @@ impl CollComm {
         dtype: DataType,
         op: ReduceOp,
     ) -> Result<KernelTiming> {
-        let algo = if count * dtype.size() <= (1 << 20) {
-            ReduceScatterAlgo::AllPairsLl
-        } else {
-            ReduceScatterAlgo::AllPairsHb
-        };
-        self.reduce_scatter_with(engine, inputs, outputs, count, dtype, op, algo)
-    }
-
-    /// Prepares channels and builds (or replays from cache) one
-    /// ReduceScatter launch shape's kernel batch and spec.
-    #[allow(clippy::too_many_arguments)]
-    fn build_reduce_scatter(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        algo: ReduceScatterAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::Rs(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), Some(op)) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::RsAp(a) => a.kernels(bytes, dtype, op)?,
-                    _ => unreachable!("reducescatter key maps to reducescatter algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), Some(op), &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        // Shards are position-renumbered `split_range` pieces of the
-        // element count — the same carve-up the kernels compute with.
-        let group = self.active_group(engine);
-        let es = dtype.size();
-        let shards: Vec<(usize, usize)> = (0..group.len())
-            .map(|j| {
-                let (s, l) = split_range(count, group.len(), j);
-                (s * es, l * es)
-            })
-            .collect();
-        let spec = CollectiveSpec::reduce_scatter(
-            Self::spec_members(&group, inputs, outputs),
-            bytes,
-            shards,
-        );
-        Ok((key, kernels, spec))
+        let algo = Algo::ReduceScatter(select_reduce_scatter(count * dtype.size()));
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT);
+        self.launch(engine, Caller::Auto, launch)
     }
 
     /// Compiles a ReduceScatter launch's kernel batch and spec without
@@ -950,9 +682,11 @@ impl CollComm {
         op: ReduceOp,
         algo: ReduceScatterAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_reduce_scatter(engine, inputs, outputs, count, dtype, op, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let algo = Algo::ReduceScatter(algo);
+        self.plan(
+            engine,
+            Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT),
+        )
     }
 
     /// ReduceScatter with an explicit algorithm.
@@ -971,20 +705,9 @@ impl CollComm {
         op: ReduceOp,
         algo: ReduceScatterAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_reduce_scatter(engine, inputs, outputs, count, dtype, op, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::ReduceScatter {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            op,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let algo = Algo::ReduceScatter(algo);
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, op, NO_ROOT);
+        self.launch(engine, Caller::Explicit, launch)
     }
 
     /// Broadcast `count` elements from `root` with automatic algorithm
@@ -1003,62 +726,9 @@ impl CollComm {
         dtype: DataType,
         root: Rank,
     ) -> Result<KernelTiming> {
-        let selected = if hw::supports_multimem(engine.world())
-            && engine.world().topology().nodes() == 1
-            && count * dtype.size() > (1 << 20)
-        {
-            BroadcastAlgo::Switch
-        } else {
-            BroadcastAlgo::Direct
-        };
-        // Graceful degradation: a permanently dead multimem switch forces
-        // the multicast plan back onto direct root puts, attributed to
-        // the shared replan counter.
-        let degraded = degrade_broadcast(engine, selected);
-        let algo = Self::fit_replan(engine, selected, degraded);
-        self.broadcast_with(engine, inputs, outputs, count, dtype, root, algo)
-    }
-
-    /// Prepares channels and builds (or replays from cache) one
-    /// Broadcast launch shape's kernel batch and spec.
-    #[allow(clippy::too_many_arguments)]
-    fn build_broadcast(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        root: Rank,
-        algo: BroadcastAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::Bc(algo, root, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, root)?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, None, None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::BcAp(a) => a.kernels(bytes)?,
-                    Prepared::BcSwitch(a) => a.kernels(bytes)?,
-                    _ => unreachable!("broadcast key maps to broadcast algorithm"),
-                });
-                entry.store_kernels(bytes, None, None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let group = self.active_group(engine);
-        let root_pos = group.iter().position(|&r| r == root).ok_or_else(|| {
-            mscclpp::Error::InvalidArgument(format!(
-                "broadcast root {root} is not in the active group"
-            ))
-        })?;
-        let spec =
-            CollectiveSpec::broadcast(Self::spec_members(&group, inputs, outputs), bytes, root_pos);
-        Ok((key, kernels, spec))
+        let algo = Algo::Broadcast(select_broadcast(engine.world(), count * dtype.size()));
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, root);
+        self.launch(engine, Caller::Auto, launch)
     }
 
     /// Compiles a Broadcast launch's kernel batch and spec without
@@ -1078,9 +748,11 @@ impl CollComm {
         root: Rank,
         algo: BroadcastAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_broadcast(engine, inputs, outputs, count, dtype, root, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let algo = Algo::Broadcast(algo);
+        self.plan(
+            engine,
+            Launch::new(algo, inputs, outputs, count, dtype, NO_OP, root),
+        )
     }
 
     /// Broadcast with an explicit algorithm.
@@ -1099,20 +771,9 @@ impl CollComm {
         root: Rank,
         algo: BroadcastAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_broadcast(engine, inputs, outputs, count, dtype, root, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::Broadcast {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            root,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let algo = Algo::Broadcast(algo);
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, root);
+        self.launch(engine, Caller::Explicit, launch)
     }
 
     /// AllToAll: rank `a`'s input chunk `b` (of `count` elements) lands
@@ -1130,45 +791,9 @@ impl CollComm {
         count: usize,
         dtype: DataType,
     ) -> Result<KernelTiming> {
-        let algo = if count * dtype.size() <= (128 << 10) {
-            AllToAllAlgo::AllPairsLl
-        } else {
-            AllToAllAlgo::AllPairsHb
-        };
-        self.all_to_all_with(engine, inputs, outputs, count, dtype, algo)
-    }
-
-    /// Prepares channels and builds (or replays from cache) one AllToAll
-    /// launch shape's kernel batch and spec.
-    fn build_all_to_all(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        algo: AllToAllAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::A2a(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, None, None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::A2aAp(a) => a.kernels(bytes)?,
-                    _ => unreachable!("alltoall key maps to alltoall algorithm"),
-                });
-                entry.store_kernels(bytes, None, None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let group = self.active_group(engine);
-        let spec = CollectiveSpec::all_to_all(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((key, kernels, spec))
+        let algo = Algo::AllToAll(select_all_to_all(count * dtype.size()));
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT);
+        self.launch(engine, Caller::Auto, launch)
     }
 
     /// Compiles an AllToAll launch's kernel batch and spec without
@@ -1186,9 +811,11 @@ impl CollComm {
         dtype: DataType,
         algo: AllToAllAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_all_to_all(engine, inputs, outputs, count, dtype, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let algo = Algo::AllToAll(algo);
+        self.plan(
+            engine,
+            Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT),
+        )
     }
 
     /// AllToAll with an explicit algorithm.
@@ -1205,185 +832,266 @@ impl CollComm {
         dtype: DataType,
         algo: AllToAllAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_all_to_all(engine, inputs, outputs, count, dtype, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllToAll {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-        }));
-        let timing = self.run(engine, &kernels)?;
+        let algo = Algo::AllToAll(algo);
+        let launch = Launch::new(algo, inputs, outputs, count, dtype, NO_OP, NO_ROOT);
+        self.launch(engine, Caller::Explicit, launch)
+    }
+
+    /// Re-plans `launch` onto the live world — the epoch's group plus,
+    /// for an automatic `caller`, the fault plan's permanent faults — and
+    /// counts a changed algorithm under `fault.replans`.
+    fn fit(&self, engine: &mut Engine<Machine>, caller: Caller, mut launch: Launch) -> Launch {
+        let fitted = selector::fit(
+            launch.key.algo,
+            &Live {
+                topo: engine.world().topology(),
+                group: self.group.borrow().as_deref(),
+                faults: match caller {
+                    Caller::Auto => engine.fault_plan(),
+                    Caller::Explicit => None,
+                },
+            },
+        );
+        if fitted != launch.key.algo {
+            engine.count("fault.replans", 1);
+            launch.key.algo = fitted;
+        }
+        launch
+    }
+
+    /// Fits `launch` and compiles its kernel batch and spec without
+    /// running it.
+    fn plan(
+        &self,
+        engine: &mut Engine<Machine>,
+        launch: Launch,
+    ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
+        let launch = self.fit(engine, Caller::Explicit, launch);
+        let kernels = self.build(engine, &launch)?;
+        Ok((kernels.to_vec(), self.spec(engine, &launch)?))
+    }
+
+    /// Fits and builds `launch`, clears the first batch of each prepared
+    /// plan with the static verifier, and runs it. The launch stays
+    /// pending — what [`CollComm::shrink`] replays — until it completes.
+    fn launch(
+        &self,
+        engine: &mut Engine<Machine>,
+        caller: Caller,
+        launch: Launch,
+    ) -> Result<KernelTiming> {
+        let launch = self.fit(engine, caller, launch);
+        let kernels = self.build(engine, &launch)?;
+        if self.verify && !self.prepared.borrow()[&launch.key].verified.get() {
+            let spec = self.spec(engine, &launch)?;
+            let checks = commverify::Checks::all();
+            commverify::verify_collective(&kernels, engine.world().pool(), &checks, &spec)?;
+            self.prepared.borrow()[&launch.key].verified.set(true);
+        }
+        self.pending.replace(Some(launch));
+        mscclpp::record_launch_mix(engine, "mscclpp", kernels.as_slice());
+        let timing = if self.sanitize {
+            let (timing, report) =
+                mscclpp::run_kernels_sanitized_shared(engine, &kernels, &self.ov)?;
+            if let Some(race) = report.races.first() {
+                return Err(mscclpp::Error::Verification(format!(
+                    "dynamic sanitizer: {race}"
+                )));
+            }
+            timing
+        } else {
+            mscclpp::run_kernels_shared(engine, &kernels, &self.ov)?
+        };
         self.pending.replace(None);
+        self.observe_stragglers(engine, &timing);
         Ok(timing)
     }
 
-    /// Builds (or rebuilds, when capacity grew) the prepared channel sets
-    /// for `key`.
-    fn ensure_prepared(
+    /// Prepares the channel set for `launch` (or reuses the cached one
+    /// when its capacity suffices) and returns the kernel batch for its
+    /// shape, replayed from cache when the shape is unchanged.
+    fn build(&self, engine: &mut Engine<Machine>, launch: &Launch) -> Result<Rc<Vec<Kernel>>> {
+        let key = &launch.key;
+        let world = engine.world().topology().world_size();
+        if key.inputs.len() < world || key.outputs.len() < world {
+            return Err(mscclpp::Error::InvalidArgument(format!(
+                "{:?} needs one input and one output buffer for each of {world} ranks, got {} and {}",
+                key.algo,
+                key.inputs.len(),
+                key.outputs.len()
+            )));
+        }
+        let bytes = launch.bytes();
+        if self
+            .prepared
+            .borrow()
+            .get(key)
+            .is_none_or(|entry| entry.cap < bytes)
+        {
+            let entry = Entry {
+                cap: bytes,
+                verified: Cell::new(false),
+                plan: self.prepare(engine, key, bytes)?,
+                kernels: RefCell::new(None),
+            };
+            self.prepared.borrow_mut().insert(key.clone(), entry);
+        }
+        let prepared = self.prepared.borrow();
+        let entry = &prepared[key];
+        let shape = (bytes, launch.dtype, launch.op);
+        let mut cached = entry.kernels.borrow_mut();
+        if let Some((built, batch)) = &*cached {
+            if *built == shape {
+                return Ok(Rc::clone(batch));
+            }
+        }
+        let batch = Rc::new(entry.plan.kernels(bytes, launch.dtype, launch.op)?);
+        *cached = Some((shape, Rc::clone(&batch)));
+        Ok(batch)
+    }
+
+    /// Wires the channel set `key` names, with capacity for `cap` bytes,
+    /// over the epoch's member set: the full topology until a shrink
+    /// restricts it to the survivors.
+    fn prepare(
         &self,
         engine: &mut Engine<Machine>,
         key: &Key,
-        bytes: usize,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        root: Rank,
-    ) -> Result<()> {
-        {
-            let prepared = self.prepared.borrow();
-            if let Some(entry) = prepared.get(key) {
-                if entry.cap >= bytes {
-                    return Ok(());
-                }
-            }
-        }
+        cap: usize,
+    ) -> Result<Box<dyn Plan>> {
         let group = self.group.borrow().clone();
         let mut setup = self
             .comm
             .setup_with(engine, self.ov.clone(), group.as_deref())?;
-        // The "world" every plan is built over is the epoch's member set:
-        // the full topology until a shrink restricts it to the survivors.
         let world: Vec<Rank> = setup.group().to_vec();
         // A shrunken multi-node epoch re-derives the hierarchical layout
         // (leaders re-elected among the survivors) instead of the
         // full-topology plan; every all-pairs plan is subset-capable.
         let shrunken = world.len() < setup.topology().world_size();
-        let cap = bytes;
-        let (ts, tl) = (self.cfg.tbs_small, self.cfg.tbs_large);
-        let prepared = match key {
-            Key::Ar(algo, _, _) => match *algo {
-                AllReduceAlgo::OnePhaseLl => Prepared::Ar1pa(Rc::new(OnePhaseAllPairs::prepare(
-                    &mut setup, &world, inputs, outputs, cap,
-                )?)),
-                AllReduceAlgo::TwoPhaseLl { reuse, order } => {
-                    Prepared::Ar2paLl(Rc::new(TwoPhaseAllPairsLl::prepare(
-                        &mut setup,
-                        &world,
-                        inputs,
-                        outputs,
-                        cap,
-                        ts.max(2),
-                        reuse,
-                        order,
-                    )?))
-                }
+        let (s, w, i, o) = (&mut setup, &world[..], &key.inputs[..], &key.outputs[..]);
+        let (ts, tl) = (TBS_SMALL, TBS_LARGE);
+        let plan: Box<dyn Plan> = match key.algo {
+            Algo::AllReduce(algo) => match algo {
+                AllReduceAlgo::OnePhaseLl => Box::new(OnePhaseAllPairs::prepare(s, w, i, o, cap)?),
+                AllReduceAlgo::TwoPhaseLl { reuse, order } => Box::new(
+                    TwoPhaseAllPairsLl::prepare(s, w, i, o, cap, ts.max(2), reuse, order)?,
+                ),
                 AllReduceAlgo::TwoPhaseHb { order } => {
-                    Prepared::Ar2paHb(Rc::new(TwoPhaseAllPairsHb::prepare(
-                        &mut setup, &world, inputs, outputs, cap, tl, order,
-                    )?))
+                    Box::new(TwoPhaseAllPairsHb::prepare(s, w, i, o, tl, order)?)
                 }
-                AllReduceAlgo::TwoPhasePort => Prepared::Ar2paPort(Rc::new(
-                    TwoPhaseAllPairsPort::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::TwoPhaseSwitch => Prepared::Ar2paSwitch(Rc::new(
-                    TwoPhaseSwitch::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::HierLl if shrunken => Prepared::ArHierShrunk(Rc::new(
-                    ShrunkenHierarchical::prepare(&mut setup, &world, inputs, outputs, cap, 1)?,
-                )),
-                AllReduceAlgo::HierHb if shrunken => Prepared::ArHierShrunk(Rc::new(
-                    ShrunkenHierarchical::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::HierLl => Prepared::ArHier(Rc::new(TwoPhaseHierarchical::prepare(
-                    &mut setup, inputs, outputs, cap, 1, false,
-                )?)),
-                AllReduceAlgo::HierHb => Prepared::ArHier(Rc::new(TwoPhaseHierarchical::prepare(
-                    &mut setup, inputs, outputs, cap, tl, true,
-                )?)),
-                AllReduceAlgo::Ring => Prepared::ArRing(Rc::new(RingAllReduce::prepare(
-                    &mut setup, &world, inputs, outputs, cap,
-                )?)),
+                AllReduceAlgo::TwoPhasePort => {
+                    Box::new(TwoPhaseAllPairsPort::prepare(s, w, i, o, cap, tl)?)
+                }
+                AllReduceAlgo::TwoPhaseSwitch => Box::new(TwoPhaseSwitch::prepare(s, w, i, o, tl)?),
+                AllReduceAlgo::HierLl if shrunken => {
+                    Box::new(ShrunkenHierarchical::prepare(s, w, i, o, cap, 1)?)
+                }
+                AllReduceAlgo::HierHb if shrunken => {
+                    Box::new(ShrunkenHierarchical::prepare(s, w, i, o, cap, tl)?)
+                }
+                AllReduceAlgo::HierLl => {
+                    Box::new(TwoPhaseHierarchical::prepare(s, i, o, cap, 1, false)?)
+                }
+                AllReduceAlgo::HierHb => {
+                    Box::new(TwoPhaseHierarchical::prepare(s, i, o, cap, tl, true)?)
+                }
+                AllReduceAlgo::Ring => Box::new(RingAllReduce::prepare(s, w, i, o, cap)?),
             },
-            Key::Ag(algo, _, _) => match *algo {
-                AllGatherAlgo::AllPairsLl => Prepared::AgAp(Rc::new(AllPairsAllGather::prepare(
-                    &mut setup,
-                    &world,
-                    inputs,
-                    outputs,
-                    cap,
-                    ts,
-                    Protocol::LL,
-                    PeerOrder::Staggered,
-                )?)),
-                AllGatherAlgo::AllPairsHb => Prepared::AgAp(Rc::new(AllPairsAllGather::prepare(
-                    &mut setup,
-                    &world,
-                    inputs,
-                    outputs,
-                    cap,
-                    tl,
-                    Protocol::HB,
-                    PeerOrder::Staggered,
-                )?)),
-                AllGatherAlgo::AllPairsPort => Prepared::AgPort(Rc::new(
-                    AllPairsAllGatherPort::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllGatherAlgo::HierLl if shrunken => Prepared::AgHierShrunk(Rc::new(
-                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, cap, 1)?,
-                )),
-                AllGatherAlgo::HierHb if shrunken => Prepared::AgHierShrunk(Rc::new(
-                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllGatherAlgo::HierLl => Prepared::AgHier(Rc::new(HierAllGather::prepare(
-                    &mut setup,
-                    inputs,
-                    outputs,
-                    cap,
-                    1,
-                    Protocol::LL,
-                )?)),
-                AllGatherAlgo::HierHb => Prepared::AgHier(Rc::new(HierAllGather::prepare(
-                    &mut setup,
-                    inputs,
-                    outputs,
-                    cap,
-                    tl,
-                    Protocol::HB,
-                )?)),
+            Algo::AllGather(algo) => match algo {
+                AllGatherAlgo::AllPairsLl | AllGatherAlgo::AllPairsHb => {
+                    let (proto, tbs) = match algo {
+                        AllGatherAlgo::AllPairsLl => (Protocol::LL, ts),
+                        _ => (Protocol::HB, tl),
+                    };
+                    let order = PeerOrder::Staggered;
+                    Box::new(AllPairsAllGather::prepare(s, w, i, o, tbs, proto, order)?)
+                }
+                AllGatherAlgo::AllPairsPort => {
+                    Box::new(AllPairsAllGatherPort::prepare(s, w, i, o, tl)?)
+                }
+                AllGatherAlgo::HierLl if shrunken => {
+                    Box::new(ShrunkenHierAllGather::prepare(s, w, i, o, 1)?)
+                }
+                AllGatherAlgo::HierHb if shrunken => {
+                    Box::new(ShrunkenHierAllGather::prepare(s, w, i, o, tl)?)
+                }
+                AllGatherAlgo::HierLl => {
+                    Box::new(HierAllGather::prepare(s, i, o, 1, Protocol::LL)?)
+                }
+                AllGatherAlgo::HierHb => {
+                    Box::new(HierAllGather::prepare(s, i, o, tl, Protocol::HB)?)
+                }
             },
-            Key::Rs(algo, _, _) => {
-                let proto = match algo {
-                    ReduceScatterAlgo::AllPairsLl => Protocol::LL,
-                    ReduceScatterAlgo::AllPairsHb => Protocol::HB,
+            Algo::ReduceScatter(algo) => {
+                let (proto, tbs) = match algo {
+                    ReduceScatterAlgo::AllPairsLl => (Protocol::LL, ts),
+                    ReduceScatterAlgo::AllPairsHb => (Protocol::HB, tl),
                 };
-                let tbs = match algo {
-                    ReduceScatterAlgo::AllPairsLl => ts,
-                    ReduceScatterAlgo::AllPairsHb => tl,
-                };
-                Prepared::RsAp(Rc::new(AllPairsReduceScatter::prepare(
-                    &mut setup, &world, inputs, outputs, cap, tbs, proto,
-                )?))
+                Box::new(AllPairsReduceScatter::prepare(s, w, i, o, cap, tbs, proto)?)
             }
-            Key::A2a(algo, _, _) => {
+            Algo::AllToAll(algo) => {
                 let (proto, tbs) = match algo {
                     AllToAllAlgo::AllPairsLl => (Protocol::LL, ts),
                     AllToAllAlgo::AllPairsHb => (Protocol::HB, tl),
                 };
-                Prepared::A2aAp(Rc::new(AllPairsAllToAll::prepare(
-                    &mut setup, &world, inputs, outputs, cap, tbs, proto,
-                )?))
+                Box::new(AllPairsAllToAll::prepare(s, w, i, o, tbs, proto)?)
             }
-            Key::Bc(algo, _, _, _) => match algo {
-                BroadcastAlgo::Direct => Prepared::BcAp(Rc::new(AllPairsBroadcast::prepare(
-                    &mut setup, &world, root, inputs, outputs, cap, tl,
-                )?)),
-                BroadcastAlgo::Switch => Prepared::BcSwitch(Rc::new(SwitchBroadcast::prepare(
-                    &mut setup, &world, root, inputs, outputs, cap, tl,
-                )?)),
-            },
+            Algo::Broadcast(BroadcastAlgo::Direct) => {
+                Box::new(AllPairsBroadcast::prepare(s, w, key.root, i, o, tl)?)
+            }
+            Algo::Broadcast(BroadcastAlgo::Switch) => {
+                Box::new(SwitchBroadcast::prepare(s, w, key.root, i, o, tl)?)
+            }
         };
-        self.prepared.borrow_mut().insert(
-            key.clone(),
-            Entry {
-                cap,
-                verified: Cell::new(false),
-                plan: prepared,
-                kernels: RefCell::new(None),
-            },
-        );
-        Ok(())
+        Ok(plan)
+    }
+
+    /// The [`CollectiveSpec`] `launch` must satisfy on the current
+    /// epoch's group: survivors in position order, each bound to its
+    /// caller-indexed buffers.
+    fn spec(&self, engine: &Engine<Machine>, launch: &Launch) -> Result<CollectiveSpec> {
+        let group = self.active_group(engine);
+        let Key {
+            algo,
+            root,
+            inputs,
+            outputs,
+        } = &launch.key;
+        let members: Vec<SpecMember> = group
+            .iter()
+            .map(|&r| SpecMember {
+                rank: r,
+                input: inputs[r.0],
+                output: outputs[r.0],
+            })
+            .collect();
+        let bytes = launch.bytes();
+        Ok(match algo {
+            Algo::AllReduce(_) => CollectiveSpec::all_reduce(members, bytes),
+            Algo::AllGather(_) => CollectiveSpec::all_gather(members, bytes),
+            Algo::ReduceScatter(_) => {
+                // Shards are position-renumbered `split_range` pieces of
+                // the element count — the same carve-up the kernels
+                // compute with.
+                let es = launch.dtype.size();
+                let shards = (0..group.len())
+                    .map(|j| {
+                        let (s, l) = split_range(launch.count, group.len(), j);
+                        (s * es, l * es)
+                    })
+                    .collect();
+                CollectiveSpec::reduce_scatter(members, bytes, shards)
+            }
+            Algo::Broadcast(_) => {
+                let root_pos = group.iter().position(|r| r == root).ok_or_else(|| {
+                    mscclpp::Error::InvalidArgument(format!(
+                        "broadcast root {root} is not in the active group"
+                    ))
+                })?;
+                CollectiveSpec::broadcast(members, bytes, root_pos)
+            }
+            Algo::AllToAll(_) => CollectiveSpec::all_to_all(members, bytes),
+        })
     }
 
     /// Shrinks the communicator after rank failure: drains in-flight
@@ -1498,100 +1206,49 @@ impl CollComm {
     fn replay(
         &self,
         engine: &mut Engine<Machine>,
-        interrupted: &Option<LaunchRecord>,
+        interrupted: &Option<Launch>,
         survivors: &[Rank],
         failover_root: &mut Option<Rank>,
     ) -> Result<RecoveryOutcome> {
-        let in_place = |inputs: &[BufferId], outputs: &[BufferId]| {
-            survivors.iter().any(|r| inputs[r.0] == outputs[r.0])
+        let Some(launch) = interrupted else {
+            return Ok(RecoveryOutcome::Replayed);
         };
-        match interrupted {
-            None => Ok(RecoveryOutcome::Replayed),
-            Some(LaunchRecord::AllReduce {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                op,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_reduce_with(engine, inputs, outputs, *count, *dtype, *op, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
+        let Key {
+            algo,
+            root,
+            inputs,
+            outputs,
+        } = &launch.key;
+        let in_place = survivors.iter().any(|r| inputs[r.0] == outputs[r.0]);
+        let replayable = match algo {
+            Algo::Broadcast(_) if !survivors.contains(root) => {
+                // Root died mid-broadcast: nobody holds the source any
+                // more. Fail over to the lowest survivor — the caller
+                // refills its input and reissues from there.
+                *failover_root = survivors.first().copied();
+                false
             }
-            Some(LaunchRecord::AllGather {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_gather_with(engine, inputs, outputs, *count, *dtype, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
-            Some(LaunchRecord::ReduceScatter {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                op,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
+            // The root's input is intact even for an in-place broadcast,
+            // and the replay overwrites every survivor's output in full —
+            // always safe to re-run.
+            Algo::Broadcast(_) => true,
+            Algo::ReduceScatter(_) => {
                 // Shards grow when the group shrinks (count / k versus
                 // count / world elements): a replay only fits when every
                 // survivor's output can hold its renumbered shard.
-                let shard_bytes = count.div_ceil(survivors.len()) * dtype.size();
-                if survivors
-                    .iter()
-                    .any(|r| engine.world().pool().len(outputs[r.0]) < shard_bytes)
-                {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.reduce_scatter_with(engine, inputs, outputs, *count, *dtype, *op, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
+                let shard_bytes = launch.count.div_ceil(survivors.len()) * launch.dtype.size();
+                let pool = engine.world().pool();
+                !in_place
+                    && survivors
+                        .iter()
+                        .all(|r| pool.len(outputs[r.0]) >= shard_bytes)
             }
-            Some(LaunchRecord::Broadcast {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                root,
-            }) => {
-                if !survivors.contains(root) {
-                    // Root died mid-broadcast: nobody holds the source
-                    // any more. Fail over to the lowest survivor — the
-                    // caller refills its input and reissues from there.
-                    *failover_root = survivors.first().copied();
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                // The root's input is intact even for an in-place
-                // broadcast, and the replay overwrites every survivor's
-                // output in full — always safe to re-run.
-                self.broadcast_with(engine, inputs, outputs, *count, *dtype, *root, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
-            Some(LaunchRecord::AllToAll {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_to_all_with(engine, inputs, outputs, *count, *dtype, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
+            _ => !in_place,
+        };
+        if !replayable {
+            return Ok(RecoveryOutcome::PartialDiscarded);
         }
+        self.launch(engine, Caller::Explicit, launch.clone())?;
+        Ok(RecoveryOutcome::Replayed)
     }
 }

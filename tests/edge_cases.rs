@@ -163,6 +163,50 @@ fn hierarchical_algorithms_rejected_on_single_node() {
     assert!(matches!(err, mscclpp::Error::InvalidArgument(_)), "{err}");
 }
 
+/// Passing fewer buffers than ranks is a typed error from every
+/// collective, in either position, not an index-out-of-bounds panic.
+#[test]
+fn short_buffer_slices_are_rejected_by_every_collective() {
+    let mut e = engine(1);
+    let count = 256usize;
+    let bufs: Vec<_> = (0..8)
+        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 8 * 4))
+        .collect();
+    let comm = CollComm::new();
+    let (f32, sum) = (DataType::F32, ReduceOp::Sum);
+    for (inputs, outputs) in [(&bufs[..4], &bufs[..]), (&bufs[..], &bufs[..4])] {
+        let results = [
+            (
+                "all_reduce",
+                comm.all_reduce(&mut e, inputs, outputs, count, f32, sum),
+            ),
+            (
+                "all_gather",
+                comm.all_gather(&mut e, inputs, outputs, count, f32),
+            ),
+            (
+                "reduce_scatter",
+                comm.reduce_scatter(&mut e, inputs, outputs, count, f32, sum),
+            ),
+            (
+                "broadcast",
+                comm.broadcast(&mut e, inputs, outputs, count, f32, Rank(0)),
+            ),
+            (
+                "all_to_all",
+                comm.all_to_all(&mut e, inputs, outputs, count, f32),
+            ),
+        ];
+        for (name, result) in results {
+            let err = result.expect_err(name);
+            assert!(
+                matches!(err, mscclpp::Error::InvalidArgument(_)),
+                "{name}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn bf16_collectives_work() {
     let mut e = engine(1);
