@@ -17,11 +17,12 @@
 //!    Hamiltonian ordering routes around the dead link.
 
 use bench::report::{
-    observe_mscclpp_faulted, runs_to_json_with_fault, write_results_json, StackRun,
+    begin_artifact, observe_mscclpp_faulted, write_results_json, write_runs, StackRun,
 };
 use bench::{fmt_bytes, Target};
 use collective::AllReduceAlgo;
 use hw::EnvKind;
+use sim::json::Writer;
 use sim::{FaultPlan, Time};
 
 fn us(x: u64) -> Time {
@@ -48,7 +49,10 @@ fn print_run(label: &str, run: &StackRun, baseline_us: f64) {
 }
 
 fn main() {
-    let mut scenarios: Vec<String> = Vec::new();
+    let mut w = Writer::default();
+    begin_artifact(&mut w, "fault_sweep")
+        .key("scenarios")
+        .begin_arr();
 
     // Scenario 1: transient flap sweep on the PortChannel stack.
     let t = Target {
@@ -68,12 +72,13 @@ fn main() {
         Some(AllReduceAlgo::TwoPhasePort),
     );
     print_run("healthy", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    write_runs(
+        &mut w,
         "flap sweep: healthy baseline",
         t,
         Some(&healthy_plan),
         std::slice::from_ref(&healthy),
-    ));
+    );
     for (i, flap_us) in [20u64, 100, 500, 2000].into_iter().enumerate() {
         let plan = flap_gpu0(FaultPlan::new(7), t.world(), us(2), us(2 + flap_us));
         let run =
@@ -92,12 +97,13 @@ fn main() {
             assert_eq!(run.counters, again.counters, "nondeterministic counters");
             println!("{:>24}: identical latency and counters on rerun", "replay");
         }
-        scenarios.push(runs_to_json_with_fault(
+        write_runs(
+            &mut w,
             &format!("flap sweep: {flap_us} us"),
             t,
             Some(&plan),
             &[run],
-        ));
+        );
     }
 
     // Scenario 2: the multimem switch dies; selection degrades to HB.
@@ -112,23 +118,19 @@ fn main() {
     );
     let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
     print_run("healthy (switch)", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    write_runs(
+        &mut w,
         "multimem death: healthy baseline",
         t,
         None,
         std::slice::from_ref(&healthy),
-    ));
+    );
     let plan = FaultPlan::new(7).multimem_down_forever(Time::ZERO);
     let run = observe_mscclpp_faulted(t, bytes, plan.clone(), None);
     print_run("multimem dead (hb)", &run, healthy.latency_us);
     assert!(run.counter("fault.replans") > 0, "no re-plan recorded");
     assert_eq!(run.counter("instr.switch_reduce"), 0);
-    scenarios.push(runs_to_json_with_fault(
-        "multimem death: degraded",
-        t,
-        Some(&plan),
-        &[run],
-    ));
+    write_runs(&mut w, "multimem death: degraded", t, Some(&plan), &[run]);
 
     // Scenario 3: a mesh link dies; selection degrades to the ring.
     let t = Target {
@@ -142,12 +144,13 @@ fn main() {
     );
     let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
     print_run("healthy (all-pairs)", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    write_runs(
+        &mut w,
         "dead link: healthy baseline",
         t,
         None,
         std::slice::from_ref(&healthy),
-    ));
+    );
     let plan = FaultPlan::new(7).link_down_forever(2, 3, Time::ZERO);
     let run = observe_mscclpp_faulted(t, bytes, plan.clone(), None);
     print_run("link 2<->3 dead (ring)", &run, healthy.latency_us);
@@ -156,24 +159,10 @@ fn main() {
         run.latency_us > healthy.latency_us,
         "ring fallback should be measurably slower than healthy all-pairs"
     );
-    scenarios.push(runs_to_json_with_fault(
-        "dead link: ring fallback",
-        t,
-        Some(&plan),
-        &[run],
-    ));
+    write_runs(&mut w, "dead link: ring fallback", t, Some(&plan), &[run]);
 
-    let mut json = format!(
-        "{{\"title\":\"fault_sweep\",\"schema_version\":{},\"scenarios\":[",
-        bench::report::SCHEMA_VERSION
-    );
-    for (i, s) in scenarios.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(s.trim_end());
-    }
-    json.push_str("]}\n");
+    w.end_arr().end_obj();
+    let json = w.finish() + "\n";
     match write_results_json("fault_sweep.json", &json) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {

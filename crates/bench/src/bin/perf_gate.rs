@@ -91,16 +91,27 @@ fn main() {
         return;
     }
 
+    // A missing baseline is not an error; one that exists but cannot be
+    // read or parsed fails the gate instead of turning every case it lost
+    // into `NEW`.
     let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => gate::parse_results(&s),
-        Err(_) => {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             println!(
                 "no baseline at {}; run with --write-baseline to create one",
                 baseline_path.display()
             );
             return;
         }
+        read => read.map_err(|e| e.to_string()),
     };
+    let baseline = baseline.and_then(|s| gate::parse_results(&s));
+    let baseline = baseline.unwrap_or_else(|e| {
+        println!(
+            "perf_gate: FAIL (baseline {}: {e})",
+            baseline_path.display()
+        );
+        std::process::exit(1)
+    });
 
     let mut regressions = 0usize;
     for (name, verdict) in gate::compare_with(&results, &baseline, tol, wall_tol) {

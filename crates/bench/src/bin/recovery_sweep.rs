@@ -14,12 +14,13 @@
 //! Each point's `class` field carries the label; single-node points are
 //! all `member` deaths.
 
-use bench::report::write_results_json;
+use bench::report::{begin_artifact, write_results_json};
 use bench::{fmt_bytes, Target};
 use collective::{
     AllReduceAlgo, CollComm, PeerOrder, RecoveryOutcome, ScratchReuse, StragglerPolicy,
 };
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
+use sim::json::{self, Fixed};
 use sim::{Duration, Engine, FaultPlan, Time};
 
 const VICTIM: usize = 3;
@@ -306,31 +307,23 @@ fn main() {
     );
     points.push(p);
 
-    let mut json = format!(
-        "{{\"title\":\"recovery_sweep\",\"schema_version\":{},\"points\":[",
-        bench::report::SCHEMA_VERSION
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
+    let json = json::render(|w| {
+        begin_artifact(w, "recovery_sweep")
+            .key("points")
+            .begin_arr();
+        for p in &points {
+            w.begin_obj().field("algo", p.algo);
+            w.field("env", format!("{:?}", p.env));
+            w.field("class", p.class);
+            w.field("kill_us", p.kill_us).field("outcome", &p.outcome);
+            w.field("recovery_us", Fixed(p.recovery_us, 3));
+            w.field("drained_requests", p.drained);
+            w.field("survivors", p.survivors);
+            w.field("semantics_verified", p.semantics_verified);
+            w.end_obj();
         }
-        json.push_str(&format!(
-            "{{\"algo\":\"{}\",\"env\":\"{:?}\",\"class\":\"{}\",\"kill_us\":{},\
-             \"outcome\":\"{}\",\
-             \"recovery_us\":{:.3},\"drained_requests\":{},\"survivors\":{},\
-             \"semantics_verified\":{}}}",
-            p.algo,
-            p.env,
-            p.class,
-            p.kill_us,
-            p.outcome,
-            p.recovery_us,
-            p.drained,
-            p.survivors,
-            p.semantics_verified
-        ));
-    }
-    json.push_str("]}\n");
+        w.end_arr().end_obj();
+    }) + "\n";
     match write_results_json("recovery_sweep.json", &json) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {

@@ -17,12 +17,13 @@
 //! plus the worst-offender SLO-miss exemplars with their exact blame
 //! breakdowns (DESIGN.md §17).
 
-use bench::report::write_results_json;
+use bench::report::{begin_artifact, write_results_json};
 use hw::EnvKind;
 use inference::{
     serve_trace_observed, serve_trace_with, synthetic_trace, ModelConfig, MscclppBackend,
     ServeConfig, ServeReport, ServingEngine, SloSpec, TelemetryConfig,
 };
+use sim::json::{self, Fixed, Writer};
 
 const REQUESTS: usize = 48;
 const PROMPT: usize = 96;
@@ -72,6 +73,14 @@ fn run_point(interarrival_us: f64, admission: bool) -> Point {
     }
 }
 
+/// Opens an artifact and writes the workload fields both artifacts
+/// share.
+fn write_header<'w>(w: &'w mut Writer, title: &str) -> &'w mut Writer {
+    begin_artifact(w, title).field("model", "llama2-13b");
+    w.field("env", "A100_80G").field("requests", REQUESTS);
+    w.field("prompt", PROMPT).field("generate", GENERATE)
+}
+
 fn main() {
     println!(
         "==== serving sweep (llama2-13b TP8 A100-80G, {REQUESTS} reqs, \
@@ -115,48 +124,33 @@ fn main() {
         knee.report.slo_met
     );
 
-    let mut json = format!(
-        "{{\"title\":\"serving_sweep\",\"schema_version\":{},\
-         \"model\":\"llama2-13b\",\"env\":\"A100_80G\",\"requests\":{REQUESTS},\
-         \"prompt\":{PROMPT},\"generate\":{GENERATE},\"seed\":{SEED},\"points\":[",
-        bench::report::SCHEMA_VERSION
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
+    let json = json::render(|w| {
+        write_header(w, "serving_sweep").field("seed", SEED);
+        w.key("points").begin_arr();
+        for p in &points {
+            let r = &p.report;
+            w.begin_obj();
+            w.field("offered_per_s", Fixed(1e6 / p.interarrival_us, 3));
+            w.field("interarrival_us", Fixed(p.interarrival_us, 1));
+            w.field("admission", p.admission);
+            w.field("goodput_per_s", Fixed(r.goodput, 3));
+            w.field("slo_met", r.slo_met);
+            w.field("completed", r.completed);
+            w.field("shed", r.shed).field("rejected", r.rejected);
+            w.field("timed_out", r.timed_out);
+            w.field("evicted", r.evicted);
+            w.field("ttft_p50_us", Fixed(r.ttft.p50_us, 3));
+            w.field("ttft_p99_us", Fixed(r.ttft.p99_us, 3));
+            w.field("tpot_p50_us", Fixed(r.tpot.p50_us, 3));
+            w.field("tpot_p99_us", Fixed(r.tpot.p99_us, 3));
+            w.field("slo_missed", r.slo_missed);
+            w.field("kv_evictions", r.kv.evictions);
+            w.field("kv_spilled_blocks", r.kv.spilled);
+            w.field("kv_peak_used", r.kv.peak_used);
+            w.field("prefix_hits", r.kv.prefix_hits).end_obj();
         }
-        let r = &p.report;
-        json.push_str(&format!(
-            "{{\"offered_per_s\":{:.3},\"interarrival_us\":{:.1},\"admission\":{},\
-             \"goodput_per_s\":{:.3},\"slo_met\":{},\"completed\":{},\"shed\":{},\
-             \"rejected\":{},\"timed_out\":{},\"evicted\":{},\
-             \"ttft_p50_us\":{:.3},\"ttft_p99_us\":{:.3},\
-             \"tpot_p50_us\":{:.3},\"tpot_p99_us\":{:.3},\
-             \"slo_missed\":{},\
-             \"kv_evictions\":{},\"kv_spilled_blocks\":{},\"kv_peak_used\":{},\
-             \"prefix_hits\":{}}}",
-            1e6 / p.interarrival_us,
-            p.interarrival_us,
-            p.admission,
-            r.goodput,
-            r.slo_met,
-            r.completed,
-            r.shed,
-            r.rejected,
-            r.timed_out,
-            r.evicted,
-            r.ttft.p50_us,
-            r.ttft.p99_us,
-            r.tpot.p50_us,
-            r.tpot.p99_us,
-            r.slo_missed,
-            r.kv.evictions,
-            r.kv.spilled,
-            r.kv.peak_used,
-            r.kv.prefix_hits,
-        ));
-    }
-    json.push_str("]}\n");
+        w.end_arr().end_obj();
+    }) + "\n";
     match write_results_json("serving_sweep.json", &json) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
@@ -189,23 +183,20 @@ fn main() {
             worst.blame.dominant().name()
         );
     }
-    let mut tj = format!(
-        "{{\"title\":\"serve_telemetry\",\"schema_version\":{},\
-         \"model\":\"llama2-13b\",\"env\":\"A100_80G\",\"requests\":{REQUESTS},\
-         \"prompt\":{PROMPT},\"generate\":{GENERATE},\"interarrival_us\":{KNEE2X_US:.1},\
-         \"admission\":false,\"seed\":{SEED},\"slo_missed\":{},\"worst_misses\":[",
-        bench::report::SCHEMA_VERSION,
-        report.slo_missed
-    );
-    for (i, m) in report.worst_misses.iter().enumerate() {
-        if i > 0 {
-            tj.push(',');
+    let tj = json::render(|w| {
+        write_header(w, "serve_telemetry");
+        w.field("interarrival_us", Fixed(KNEE2X_US, 1));
+        w.field("admission", false).field("seed", SEED);
+        w.field("slo_missed", report.slo_missed);
+        w.key("worst_misses").begin_arr();
+        for m in &report.worst_misses {
+            m.write_json(w);
         }
-        tj.push_str(&m.to_json());
-    }
-    tj.push_str("],\"telemetry\":");
-    tj.push_str(obs.telemetry_json().expect("sampler configured").trim_end());
-    tj.push_str("}\n");
+        w.end_arr().key("telemetry");
+        let telemetry = obs.telemetry.as_ref().expect("sampler configured");
+        telemetry.write_json(w);
+        w.end_obj();
+    }) + "\n";
     match write_results_json("serve_telemetry.json", &tj) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {

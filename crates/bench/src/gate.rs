@@ -9,8 +9,9 @@
 //! constant) while catching real regressions.
 
 use profile::Histogram;
+use sim::json::{self, Fixed, Value};
 
-use crate::report::SCHEMA_VERSION;
+use crate::report::begin_artifact;
 use crate::Target;
 use hw::EnvKind;
 
@@ -729,69 +730,55 @@ fn verify(
 
 /// Serializes gate results as the `BENCH_<date>.json` artifact.
 pub fn results_to_json(date: &str, iters: usize, results: &[CaseResult]) -> String {
-    use std::fmt::Write;
     // Every case plans through a comm whose pre-launch verification runs
     // the semantic dataflow pass by default, and the `commverify/` wall
     // case re-asserts a clean report each iteration — a finding anywhere
     // aborts the gate, so a written artifact always carries `true`.
-    let mut out = format!(
-        "{{\"title\":\"perf_gate\",\"schema_version\":{SCHEMA_VERSION},\"date\":\"{date}\",\"iters\":{iters},\"semantics_verified\":true,\"cases\":["
-    );
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::render(|w| {
+        begin_artifact(w, "perf_gate").field("date", date);
+        w.field("iters", iters).field("semantics_verified", true);
+        w.key("cases").begin_arr();
+        for r in results {
+            w.begin_obj().field("name", &r.name);
+            w.field("samples", r.samples);
+            w.field("p50_us", Fixed(r.p50_us, 3));
+            w.field("p95_us", Fixed(r.p95_us, 3));
+            w.field("p99_us", Fixed(r.p99_us, 3));
+            w.field("max_us", Fixed(r.max_us, 3));
+            w.field("mean_us", Fixed(r.mean_us, 3));
+            w.field("eps", Fixed(r.eps, 1)).end_obj();
         }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"samples\":{},\"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3},\"max_us\":{:.3},\"mean_us\":{:.3},\"eps\":{:.1}}}",
-            r.name, r.samples, r.p50_us, r.p95_us, r.p99_us, r.max_us, r.mean_us, r.eps
-        );
-    }
-    out.push_str("]}\n");
-    out
+        w.end_arr().end_obj();
+    }) + "\n"
 }
 
-/// Minimal hand-rolled parser for the artifact format above (the
-/// workspace has no JSON dependency): extracts each case's name and
-/// numeric fields. Tolerant of unknown fields; a malformed document
-/// yields however many well-formed cases precede the damage.
-pub fn parse_results(json: &str) -> Vec<CaseResult> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("{\"name\":\"") {
-        rest = &rest[i + 9..];
-        let Some(q) = rest.find('"') else { break };
-        let name = rest[..q].to_owned();
-        let Some(end) = rest.find('}') else { break };
-        let body = &rest[q..end];
-        let num = |key: &str| -> f64 {
-            body.find(&format!("\"{key}\":"))
-                .and_then(|j| {
-                    let v = &body[j + key.len() + 3..];
-                    // A JSON number may carry a sign, a decimal point,
-                    // and an exponent (`1.2e3`, `-4E-2`); stopping at
-                    // the first byte outside that alphabet would
-                    // truncate exponents to their mantissa.
-                    let stop = v
-                        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-                        .unwrap_or(v.len());
-                    v[..stop].parse::<f64>().ok()
-                })
-                .unwrap_or(0.0)
-        };
-        out.push(CaseResult {
-            name,
-            samples: num("samples") as u64,
-            p50_us: num("p50_us"),
-            p95_us: num("p95_us"),
-            p99_us: num("p99_us"),
-            max_us: num("max_us"),
-            mean_us: num("mean_us"),
-            eps: num("eps"),
-        });
-        rest = &rest[end..];
-    }
-    out
+/// Reads an artifact written by [`results_to_json`]. Unknown fields are
+/// ignored; every case must carry a name and all seven numbers.
+///
+/// # Errors
+///
+/// A message naming the byte offset where the document stops being JSON
+/// (e.g. a truncated or empty file), or the case missing a field.
+pub fn parse_results(src: &str) -> Result<Vec<CaseResult>, String> {
+    let doc = json::parse(src).map_err(|e| e.to_string())?;
+    let case = |c: &Value| {
+        let num = |key| c.get(key)?.as_f64();
+        Some(CaseResult {
+            name: c.get("name")?.as_str()?.to_owned(),
+            samples: c.get("samples")?.as_u64()?,
+            p50_us: num("p50_us")?,
+            p95_us: num("p95_us")?,
+            p99_us: num("p99_us")?,
+            max_us: num("max_us")?,
+            mean_us: num("mean_us")?,
+            eps: num("eps")?,
+        })
+    };
+    let cases = doc.get("cases").and_then(Value::as_array);
+    let cases = cases.ok_or("no `cases` array")?.iter().enumerate();
+    cases
+        .map(|(i, c)| case(c).ok_or(format!("case {i} lacks a field")))
+        .collect()
 }
 
 /// One baseline comparison outcome.
@@ -911,11 +898,27 @@ mod tests {
         let json = results_to_json("2026-08-06", 3, &results);
         assert!(json.contains("\"schema_version\":"));
         assert!(json.contains("\"date\":\"2026-08-06\""));
-        let parsed = parse_results(&json);
+        json::parse(&json).unwrap();
+        let parsed = parse_results(&json).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, results[0].name);
         assert!((parsed[0].p50_us - 12.345).abs() < 1e-9);
         assert_eq!(parsed[1].samples, 3);
+    }
+
+    #[test]
+    fn damaged_baselines_are_errors_not_fewer_cases() {
+        let json = results_to_json("2026-08-06", 3, &[case("a", 1.0), case("b", 2.0)]);
+        // Cut inside the second case: the first case alone must not
+        // come back as if the baseline had one entry.
+        let cut = json.find("\"b\"").unwrap() + 8;
+        let err = parse_results(&json[..cut]).unwrap_err();
+        assert!(err.contains(&format!("byte {cut}")), "{err}");
+        assert!(parse_results("").unwrap_err().contains("byte 0"));
+        assert!(parse_results("not json").is_err());
+        assert!(parse_results("{}").is_err(), "no cases array");
+        let no_p50 = json.replace("\"p50_us\":2.000,", "");
+        assert_eq!(parse_results(&no_p50).unwrap_err(), "case 1 lacks a field");
     }
 
     #[test]
@@ -982,7 +985,7 @@ mod tests {
         let json = "{\"cases\":[{\"name\":\"x\",\"samples\":2,\"p50_us\":1.2e3,\
                      \"p95_us\":4E-2,\"p99_us\":-7.5,\"max_us\":1e4,\
                      \"mean_us\":1250.0,\"eps\":3.4e6}]}";
-        let parsed = parse_results(json);
+        let parsed = parse_results(json).unwrap();
         assert_eq!(parsed.len(), 1);
         assert!((parsed[0].p50_us - 1200.0).abs() < 1e-9);
         assert!((parsed[0].p95_us - 0.04).abs() < 1e-9);
@@ -992,7 +995,7 @@ mod tests {
         // And a full write→parse round trip preserves eps.
         let mut r = case("engine/allreduce/A100_40G/8n64g/1024B", 900.0);
         r.eps = 4_567_890.1;
-        let round = parse_results(&results_to_json("2026-08-07", 3, &[r.clone()]));
+        let round = parse_results(&results_to_json("2026-08-07", 3, &[r.clone()])).unwrap();
         assert_eq!(round.len(), 1);
         assert!((round[0].eps - r.eps).abs() < 1.0);
     }

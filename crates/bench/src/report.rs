@@ -9,6 +9,7 @@ use std::path::Path;
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
 use mscclpp::Setup;
+use sim::json::{self, Fixed, Writer};
 use sim::Engine;
 
 use crate::{alloc_filled, fresh_engine, size_filtered_candidates, verify_allreduce, Target};
@@ -221,42 +222,33 @@ pub fn observe_mscclpp_faulted(
 /// meaning, and add a row to `results/README.md`.
 pub const SCHEMA_VERSION: u32 = 5;
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Opens an artifact document with its `title` and `schema_version`;
+/// the caller writes the other fields and closes it.
+pub fn begin_artifact<'w>(w: &'w mut Writer, title: &str) -> &'w mut Writer {
+    w.begin_obj().field("title", title);
+    w.field("schema_version", SCHEMA_VERSION)
 }
 
-fn push_run(out: &mut String, run: &StackRun) {
-    out.push_str(&format!(
-        "{{\"stack\":\"{}\",\"bytes\":{},\"latency_us\":{:.3},\"verified\":{},\"semantics_verified\":{},",
-        esc(&run.stack),
-        run.bytes,
-        run.latency_us,
-        run.verified,
-        run.semantics_verified
-    ));
-    out.push_str("\"counters\":{");
-    for (i, (k, v)) in run.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{v}", esc(k)));
+fn write_run(w: &mut Writer, run: &StackRun) {
+    w.begin_obj()
+        .field("stack", &run.stack)
+        .field("bytes", run.bytes);
+    w.field("latency_us", Fixed(run.latency_us, 3));
+    w.field("verified", run.verified);
+    w.field("semantics_verified", run.semantics_verified);
+    w.key("counters").begin_obj();
+    for (k, v) in &run.counters {
+        w.field(k, v);
     }
-    out.push_str("},\"links\":[");
-    for (i, l) in run.links.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"busy_us\":{:.3},\"bytes\":{},\"acquires\":{},\"queue_delay_us\":{:.3},\"utilization\":{:.4}}}",
-            esc(&l.label),
-            l.busy_us,
-            l.bytes,
-            l.acquires,
-            l.queue_delay_us,
-            l.utilization
-        ));
+    w.end_obj().key("links").begin_arr();
+    for l in &run.links {
+        w.begin_obj().field("label", &l.label);
+        w.field("busy_us", Fixed(l.busy_us, 3));
+        w.field("bytes", l.bytes).field("acquires", l.acquires);
+        w.field("queue_delay_us", Fixed(l.queue_delay_us, 3));
+        w.field("utilization", Fixed(l.utilization, 4)).end_obj();
     }
-    out.push_str("]}");
+    w.end_arr().end_obj();
 }
 
 /// Serializes a set of observed runs as one JSON document.
@@ -274,31 +266,34 @@ pub fn runs_to_json_with_fault(
     fault: Option<&sim::FaultPlan>,
     runs: &[StackRun],
 ) -> String {
-    let mut out = String::new();
-    let fault_json = match fault {
-        None => "null".to_owned(),
-        Some(p) => format!(
-            "{{\"seed\":{},\"summary\":\"{}\"}}",
-            p.seed,
-            esc(&p.summary())
-        ),
-    };
-    out.push_str(&format!(
-        "{{\"title\":\"{}\",\"schema_version\":{SCHEMA_VERSION},\"environment\":\"{}\",\"nodes\":{},\"world\":{},\"fault\":{},\"runs\":[",
-        esc(title),
-        esc(&t.env.spec(t.nodes).name),
-        t.nodes,
-        t.world(),
-        fault_json
-    ));
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::render(|w| write_runs(w, title, t, fault, runs)) + "\n"
+}
+
+/// Writes [`runs_to_json_with_fault`]'s document into `w`, e.g. as one
+/// scenario of a larger artifact.
+pub fn write_runs(
+    w: &mut Writer,
+    title: &str,
+    t: Target,
+    fault: Option<&sim::FaultPlan>,
+    runs: &[StackRun],
+) {
+    begin_artifact(w, title).field("environment", &t.env.spec(t.nodes).name);
+    w.field("nodes", t.nodes)
+        .field("world", t.world())
+        .key("fault");
+    match fault {
+        None => w.value(None::<u64>),
+        Some(p) => {
+            w.begin_obj().field("seed", p.seed);
+            w.field("summary", p.summary()).end_obj()
         }
-        push_run(&mut out, run);
+    };
+    w.key("runs").begin_arr();
+    for run in runs {
+        write_run(w, run);
     }
-    out.push_str("]}\n");
-    out
+    w.end_arr().end_obj();
 }
 
 /// The directory benchmark artifacts are written to: `$RESULTS_DIR` when
@@ -366,6 +361,7 @@ mod tests {
         };
         let runs = observe_allreduce(t, 1024);
         let json = runs_to_json("smoke", t, &runs);
+        json::parse(&json).unwrap();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"stack\":").count(), 3);
         assert_eq!(json.matches("\"verified\":true").count(), 3);
@@ -373,6 +369,8 @@ mod tests {
         assert!(json.contains("\"sync.waits\":"));
         assert!(json.contains("\"label\":\"egress r0\""));
         assert!(json.contains("\"fault\":null"), "healthy header: {json}");
+        let plan = sim::FaultPlan::new(3).link_down_forever(0, 1, sim::Time::ZERO);
+        json::parse(&runs_to_json_with_fault("smoke", t, Some(&plan), &runs)).unwrap();
     }
 
     #[test]
@@ -404,6 +402,12 @@ mod tests {
             run.counters
         );
         let json = runs_to_json_with_fault("chaos", t, Some(&plan), &[run]);
+        let doc = json::parse(&json).unwrap();
+        let summary = doc.get("fault").and_then(|f| f.get("summary"));
+        assert_eq!(
+            summary.and_then(json::Value::as_str),
+            Some(&*plan.summary())
+        );
         assert!(json.contains("\"fault\":{\"seed\":11,"), "{json}");
         assert!(json.contains("link 0<->1 down"), "{json}");
     }

@@ -28,6 +28,8 @@
 //! `round(us × 1e6)`, which is monotone, so charges never run
 //! backwards.
 
+use sim::json::{self, Event, Fixed, Value, Writer};
+
 /// Blame buckets a request's lifetime is tiled into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -236,53 +238,31 @@ impl RequestTimeline {
     /// Serializes the timeline as one JSON object (ps values are exact
     /// integers; see `results/README.md` for the schema).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"arrival_ps\":{},\"end_ps\":{},\"first_token_ps\":",
-            self.id, self.arrival_ps, self.end_ps
-        );
-        match self.first_token_ps {
-            Some(ps) => {
-                let _ = write!(out, "{ps}");
-            }
-            None => out.push_str("null"),
+        json::render(|w| self.write_json(w))
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("id", self.id);
+        w.field("arrival_ps", self.arrival_ps);
+        w.field("end_ps", self.end_ps);
+        w.field("first_token_ps", self.first_token_ps);
+        w.field("terminal", self.terminal.name());
+        w.key("blame_ps").begin_obj();
+        for p in Phase::ALL {
+            w.field(p.name(), self.blame.get(p));
         }
-        let _ = write!(
-            out,
-            ",\"terminal\":\"{}\",\"blame_ps\":{{",
-            self.terminal.name()
-        );
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", p.name(), self.blame.get(*p));
-        }
-        out.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"from_ps\":{},\"to_ps\":{}",
-                e.phase.name(),
-                e.from_ps,
-                e.to_ps
-            );
+        w.end_obj().key("events").begin_arr();
+        for e in &self.events {
+            w.begin_obj().field("phase", e.phase.name());
+            w.field("from_ps", e.from_ps).field("to_ps", e.to_ps);
             if let Some(l) = e.link {
-                let _ = write!(
-                    out,
-                    ",\"step\":{},\"engine_from_ps\":{},\"engine_to_ps\":{}",
-                    l.step, l.engine_from_ps, l.engine_to_ps
-                );
+                w.field("step", l.step);
+                w.field("engine_from_ps", l.engine_from_ps);
+                w.field("engine_to_ps", l.engine_to_ps);
             }
-            out.push('}');
+            w.end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
     }
 }
 
@@ -315,99 +295,46 @@ impl SloMiss {
     /// Serializes the exemplar as one JSON object. `blame_ps` is an
     /// array in [`Phase::ALL`] order.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"arrival_us\":{:.3},\"e2e_us\":{:.3},\"ttft_us\":",
-            self.id, self.arrival_us, self.e2e_us
-        );
-        match self.ttft_us {
-            Some(v) => {
-                let _ = write!(out, "{v:.3}");
-            }
-            None => out.push_str("null"),
+        json::render(|w| self.write_json(w))
+    }
+
+    /// Writes [`SloMiss::to_json`]'s object into `w`.
+    pub fn write_json(&self, w: &mut Writer) {
+        let us = |v: f64| Fixed(v, 3);
+        w.begin_obj().field("id", self.id);
+        w.field("arrival_us", us(self.arrival_us));
+        w.field("e2e_us", us(self.e2e_us));
+        w.field("ttft_us", self.ttft_us.map(us));
+        w.field("tpot_us", self.tpot_us.map(us));
+        w.field("missed_ttft", self.missed_ttft);
+        w.field("missed_tpot", self.missed_tpot);
+        w.field("terminal", self.terminal.name());
+        w.key("blame_ps").begin_arr();
+        for v in &self.blame.ps {
+            w.value(v);
         }
-        out.push_str(",\"tpot_us\":");
-        match self.tpot_us {
-            Some(v) => {
-                let _ = write!(out, "{v:.3}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"missed_ttft\":{},\"missed_tpot\":{},\"terminal\":\"{}\",\"blame_ps\":[",
-            self.missed_ttft,
-            self.missed_tpot,
-            self.terminal.name()
-        );
-        for (i, v) in self.blame.ps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
     }
 
     /// Parses one object produced by [`SloMiss::to_json`] (exact
     /// round-trip for the integer fields; µs fields round-trip at the
     /// serialized 1e-3 precision).
     pub fn parse(json: &str) -> Option<SloMiss> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\":");
-            let at = json.find(&pat)? + pat.len();
-            let rest = &json[at..];
-            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-            let tok = rest[..end].trim();
-            if tok == "null" {
-                return None;
-            }
-            tok.parse().ok()
-        };
-        let flag = |key: &str| -> Option<bool> {
-            let pat = format!("\"{key}\":");
-            let at = json.find(&pat)? + pat.len();
-            json[at..]
-                .starts_with("true")
-                .then_some(true)
-                .or_else(|| json[at..].starts_with("false").then_some(false))
-        };
-        let terminal = {
-            let pat = "\"terminal\":\"";
-            let at = json.find(pat)? + pat.len();
-            let end = json[at..].find('"')? + at;
-            match &json[at..end] {
-                "completed" => Terminal::Completed,
-                "shed" => Terminal::Shed,
-                "rejected" => Terminal::Rejected,
-                "timed_out" => Terminal::TimedOut,
-                "evicted" => Terminal::Evicted,
-                _ => return None,
-            }
-        };
-        let blame = {
-            let pat = "\"blame_ps\":[";
-            let at = json.find(pat)? + pat.len();
-            let end = json[at..].find(']')? + at;
-            let mut ps = [0u64; PHASES];
-            let mut n = 0;
-            for tok in json[at..end].split(',') {
-                if n >= PHASES {
-                    return None;
-                }
-                ps[n] = tok.trim().parse().ok()?;
-                n += 1;
-            }
-            if n != PHASES {
-                return None;
-            }
-            Blame { ps }
+        let v = json::parse(json).ok()?;
+        let num = |key: &str| v.get(key).and_then(Value::as_f64);
+        let flag = |key: &str| v.get(key).and_then(Value::as_bool);
+        let blame = v.get("blame_ps")?.as_array()?.iter().map(Value::as_u64);
+        let ps: Vec<u64> = blame.collect::<Option<_>>()?;
+        let terminal = match v.get("terminal")?.as_str()? {
+            "completed" => Terminal::Completed,
+            "shed" => Terminal::Shed,
+            "rejected" => Terminal::Rejected,
+            "timed_out" => Terminal::TimedOut,
+            "evicted" => Terminal::Evicted,
+            _ => return None,
         };
         Some(SloMiss {
-            id: num("id")? as u64,
+            id: v.get("id")?.as_u64()?,
             arrival_us: num("arrival_us")?,
             e2e_us: num("e2e_us")?,
             ttft_us: num("ttft_us"),
@@ -415,7 +342,9 @@ impl SloMiss {
             missed_ttft: flag("missed_ttft")?,
             missed_tpot: flag("missed_tpot")?,
             terminal,
-            blame,
+            blame: Blame {
+                ps: ps.try_into().ok()?,
+            },
         })
     }
 }
@@ -576,15 +505,13 @@ impl RequestTracer {
 /// Serializes a slice of timelines as a JSON array (one
 /// [`RequestTimeline::to_json`] object per request).
 pub fn timelines_to_json(tls: &[RequestTimeline]) -> String {
-    let mut out = String::from("[");
-    for (i, tl) in tls.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::render(|w| {
+        w.begin_arr();
+        for tl in tls {
+            tl.write_json(w);
         }
-        out.push_str(&tl.to_json());
-    }
-    out.push(']');
-    out
+        w.end_arr();
+    })
 }
 
 /// Serializes timelines as Chrome trace-event JSON: one named track per
@@ -592,44 +519,36 @@ pub fn timelines_to_json(tls: &[RequestTimeline]) -> String {
 /// phase window, loadable beside the engine trace in
 /// <https://ui.perfetto.dev>.
 pub fn timelines_to_chrome_json(tls: &[RequestTimeline]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{{\"name\":\"requests\"}}}}"
-    );
-    for tl in tls {
-        let _ = write!(
-            out,
-            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{},\"args\":{{\"name\":\"req {} ({})\"}}}}",
-            tl.id,
-            tl.id,
-            tl.terminal.name()
-        );
-        for e in &tl.events {
-            let name = e.phase.name();
-            let args = match e.link {
-                Some(l) => format!(
-                    "{{\"step\":{},\"engine_from_us\":{:.3},\"engine_to_us\":{:.3}}}",
-                    l.step,
-                    l.engine_from_ps as f64 / 1e6,
-                    l.engine_to_ps as f64 / 1e6
-                ),
-                None => "{}".to_owned(),
-            };
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":2,\"tid\":{},\"args\":{args}}}\
-                 ,{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":2,\"tid\":{}}}",
-                e.from_ps as f64 / 1e6,
-                tl.id,
-                e.to_ps as f64 / 1e6,
-                tl.id
-            );
+    json::render(|w| {
+        w.begin_arr().chrome_track_name(2, None, "requests");
+        for tl in tls {
+            let track = format!("req {} ({})", tl.id, tl.terminal.name());
+            w.chrome_track_name(2, Some(tl.id), &track);
+            for e in &tl.events {
+                let slice = |ph, ps: u64| Event {
+                    name: e.phase.name(),
+                    cat: Some("request"),
+                    ph,
+                    ts_us: ps as f64 / 1e6,
+                    pid: 2,
+                    tid: Some(tl.id),
+                    ..Event::default()
+                };
+                w.chrome_event(&slice("B", e.from_ps))
+                    .key("args")
+                    .begin_obj();
+                if let Some(l) = e.link {
+                    let us = |ps: u64| Fixed(ps as f64 / 1e6, 3);
+                    w.field("step", l.step);
+                    w.field("engine_from_us", us(l.engine_from_ps));
+                    w.field("engine_to_us", us(l.engine_to_ps));
+                }
+                w.end_obj().end_obj();
+                w.chrome_event(&slice("E", e.to_ps)).end_obj();
+            }
         }
-    }
-    out.push(']');
-    out
+        w.end_arr();
+    })
 }
 
 #[cfg(test)]
@@ -744,7 +663,14 @@ mod tests {
         assert!(json.contains("\"first_token_ps\":3000000"), "{json}");
         assert!(json.contains("\"engine_to_ps\":2000000"), "{json}");
         assert!(json.contains("\"decode_compute\""), "{json}");
+        let doc = json::parse(&json).unwrap();
+        let blame = doc.as_array().unwrap()[0].get("blame_ps").unwrap();
+        assert_eq!(
+            blame.get("decode_compute").unwrap().as_u64(),
+            Some(2_000_000)
+        );
         let chrome = timelines_to_chrome_json(&tls);
+        json::parse(&chrome).unwrap();
         assert!(
             chrome.contains("\"name\":\"req 0 (completed)\""),
             "{chrome}"

@@ -1491,6 +1491,7 @@ mod tests {
         let trace = e.take_trace().expect("tracing enabled");
         assert_eq!(trace.unmatched_begins(), 0);
         let json = trace.to_chrome_json();
+        crate::json::parse(&json).unwrap();
         assert_eq!(json.matches("\"ph\":\"b\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"e\"").count(), 2);
         // Busy time past the abort instant is refunded: nothing beyond

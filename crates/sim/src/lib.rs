@@ -43,6 +43,7 @@ mod depgraph;
 mod engine;
 mod fault;
 mod intern;
+pub mod json;
 mod metrics;
 mod process;
 pub mod telemetry;

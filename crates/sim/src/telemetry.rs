@@ -23,6 +23,7 @@
 //! tracks, loadable beside an engine trace).
 
 use crate::engine::ResourceId;
+use crate::json::{self, Event, Fixed, Scalar, Writer};
 use crate::metrics::{CounterId, Metrics};
 use crate::time::{Duration, Time};
 
@@ -240,61 +241,59 @@ impl Sampler {
         self.taken
     }
 
+    /// Kept samples with the gap to the previous one in microseconds
+    /// (the period for the first sample), the utilization denominator.
+    fn with_gaps(&self) -> impl Iterator<Item = (&Sample, f64)> {
+        let mut prev = None;
+        self.samples().map(move |s| {
+            let gap = prev.map_or(self.period, |p| s.at - p);
+            prev = Some(s.at);
+            (s, gap.as_us().max(1e-9))
+        })
+    }
+
     /// Serializes the series as a JSON time-series document: schema
     /// arrays once, then one compact row per sample. `utilization` is
     /// the busy delta divided by the inter-sample gap (clamped to the
     /// period for the first sample).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"period_us\":{:.3},\"dropped\":{},\"counters\":[",
-            self.period.as_us(),
-            self.dropped
-        );
-        push_names(&mut out, &self.counter_names);
-        out.push_str("],\"gauges\":[");
-        push_names(&mut out, &self.gauge_names);
-        out.push_str("],\"resources\":[");
-        push_names(&mut out, &self.resource_labels);
-        out.push_str("],\"samples\":[");
-        let mut prev_at = None;
-        for (i, s) in self.samples().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::render(|w| self.write_json(w))
+    }
+
+    /// Writes [`Sampler::to_json`]'s document into `w`, e.g. nested in a
+    /// larger artifact.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_obj();
+        w.field("period_us", Fixed(self.period.as_us(), 3));
+        w.field("dropped", self.dropped);
+        for (key, names) in [
+            ("counters", &self.counter_names),
+            ("gauges", &self.gauge_names),
+            ("resources", &self.resource_labels),
+        ] {
+            w.key(key).begin_arr();
+            for n in names {
+                w.value(n);
             }
-            let gap = match prev_at {
-                Some(p) => s.at - p,
-                None => self.period,
-            };
-            prev_at = Some(s.at);
-            let gap_us = gap.as_us().max(1e-9);
-            let _ = write!(out, "{{\"t_us\":{:.3},\"counters\":[", s.at.as_us());
-            for (j, v) in s.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("],\"gauges\":[");
-            for (j, v) in s.gauges.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("],\"utilization\":[");
-            for (j, b) in s.busy.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{:.4}", (b.as_us() / gap_us).min(1.0));
-            }
-            out.push_str("]}");
+            w.end_arr();
         }
-        out.push_str("]}");
-        out
+        w.key("samples").begin_arr();
+        for (s, gap_us) in self.with_gaps() {
+            w.begin_obj().field("t_us", Fixed(s.at.as_us(), 3));
+            for (key, vals) in [("counters", &s.counters), ("gauges", &s.gauges)] {
+                w.key(key).begin_arr();
+                for v in vals {
+                    w.value(v);
+                }
+                w.end_arr();
+            }
+            w.key("utilization").begin_arr();
+            for b in &s.busy {
+                w.value(Fixed((b.as_us() / gap_us).min(1.0), 4));
+            }
+            w.end_arr().end_obj();
+        }
+        w.end_arr().end_obj();
     }
 
     /// Serializes the series as Chrome trace-event JSON counter tracks
@@ -302,57 +301,32 @@ impl Sampler {
     /// document can be concatenated with an engine trace without track
     /// collisions. Load in <https://ui.perfetto.dev>.
     pub fn to_chrome_json(&self, pid: u32) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"telemetry\"}}}}"
-        );
-        let mut prev_at = None;
-        for s in self.samples() {
-            let ts = s.at.as_us();
-            let gap_us = match prev_at {
-                Some(p) => (s.at - p).as_us(),
-                None => self.period.as_us(),
+        json::render(|w| {
+            w.begin_arr()
+                .chrome_track_name(pid.into(), None, "telemetry");
+            for (s, gap_us) in self.with_gaps() {
+                let mut counter = |name: &str, value: &dyn Scalar| {
+                    w.chrome_event(&Event {
+                        name,
+                        ph: "C",
+                        ts_us: s.at.as_us(),
+                        pid: pid.into(),
+                        ..Event::default()
+                    });
+                    w.key("args").begin_obj().field("value", value);
+                    w.end_obj().end_obj();
+                };
+                let names = self.counter_names.iter().chain(&self.gauge_names);
+                for (name, v) in names.zip(s.counters.iter().chain(&s.gauges)) {
+                    counter(name, v);
+                }
+                for (label, b) in self.resource_labels.iter().zip(&s.busy) {
+                    let util = Fixed((b.as_us() / gap_us).min(1.0), 4);
+                    counter(&format!("util {label}"), &util);
+                }
             }
-            .max(1e-9);
-            prev_at = Some(s.at);
-            for (name, v) in self.counter_names.iter().zip(&s.counters) {
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}",
-                    name.replace('"', "'")
-                );
-            }
-            for (name, v) in self.gauge_names.iter().zip(&s.gauges) {
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}",
-                    name.replace('"', "'")
-                );
-            }
-            for (label, b) in self.resource_labels.iter().zip(&s.busy) {
-                let util = (b.as_us() / gap_us).min(1.0);
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"util {}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{util:.4}}}}}",
-                    label.replace('"', "'")
-                );
-            }
-        }
-        out.push(']');
-        out
-    }
-}
-
-fn push_names(out: &mut String, names: &[String]) {
-    for (i, n) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&n.replace('"', "'"));
-        out.push('"');
+            w.end_arr();
+        })
     }
 }
 
@@ -428,7 +402,10 @@ mod tests {
         let mut m = Metrics::default();
         m.add_resource();
         m.set_label(crate::engine::ResourceId(0), "egress r0");
-        let mut s = Sampler::new(SamplerConfig::new(10.0, 4), &["queue_depth"]);
+        // A gauge name with a quote, a backslash and control characters
+        // must round-trip exactly through both exports.
+        const ODD: &str = "depth \"q\" C:\\x\n\u{1}";
+        let mut s = Sampler::new(SamplerConfig::new(10.0, 4), &["queue_depth", ODD]);
         s.track_counter(&mut m, "serve.completed");
         s.track_resources(&m);
         m.inc("serve.completed", 2);
@@ -437,14 +414,14 @@ mod tests {
             Duration::from_us(5.0),
             Duration::ZERO,
         );
-        s.sample(us(10.0), &m, &[7]);
+        s.sample(us(10.0), &m, &[7, 1]);
         let json = s.to_json();
         assert!(json.contains("\"period_us\":10.000"), "{json}");
         assert!(
             json.contains("\"counters\":[\"serve.completed\"]"),
             "{json}"
         );
-        assert!(json.contains("\"gauges\":[\"queue_depth\"]"), "{json}");
+        assert!(json.contains("\"gauges\":[\"queue_depth\","), "{json}");
         assert!(json.contains("\"resources\":[\"egress r0\"]"), "{json}");
         // 5us busy over a 10us period: utilization 0.5.
         assert!(json.contains("\"utilization\":[0.5000]"), "{json}");
@@ -453,6 +430,14 @@ mod tests {
         assert!(chrome.contains("\"name\":\"serve.completed\",\"ph\":\"C\""));
         assert!(chrome.contains("\"name\":\"util egress r0\""));
         assert!(chrome.contains("\"name\":\"process_name\""));
+        let doc = json::parse(&json).unwrap();
+        let gauges = doc.get("gauges").and_then(json::Value::as_array).unwrap();
+        assert_eq!(gauges[1].as_str(), Some(ODD));
+        let chrome = json::parse(&chrome).unwrap();
+        let tracks = chrome.as_array().unwrap();
+        assert!(tracks
+            .iter()
+            .any(|ev| ev.get("name").unwrap().as_str() == Some(ODD)));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! Labels are interned once (at process spawn or first span use) and
 //! events store a small index, so recording does not allocate per step.
 
+use crate::json::{self, Event};
 use crate::time::Time;
 
 /// What a [`TraceEvent`] marks.
@@ -115,77 +116,7 @@ impl Trace {
     /// bare ids). Load the output in <https://ui.perfetto.dev> or
     /// `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        self.push_metadata_json(&mut out);
-        self.push_events_json(&mut out);
-        out.push(']');
-        out
-    }
-
-    /// Emits `ph:"M"` process/thread name metadata so Perfetto renders
-    /// named tracks: pid 0 is "engine", and each process's track carries
-    /// the label the process registered at spawn (first step event wins).
-    fn push_metadata_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        if self.events.is_empty() {
-            return;
-        }
-        let mut names: std::collections::BTreeMap<usize, u32> = Default::default();
-        for e in &self.events {
-            if matches!(e.kind, TraceEventKind::StepBegin | TraceEventKind::StepEnd) {
-                names.entry(e.proc_index).or_insert(e.label);
-            }
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{{\"name\":\"engine\"}}}}"
-        );
-        for (tid, label) in names {
-            let name = self.label(label).replace('"', "'");
-            let _ = write!(
-                out,
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
-            );
-        }
-        out.push(',');
-    }
-
-    fn push_events_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = self.label(e.label).replace('"', "'");
-            let ts = e.at.as_us();
-            let tid = e.proc_index;
-            let _ = match e.kind {
-                TraceEventKind::StepBegin => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::StepEnd => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::SpanBegin => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"id\":{tid},\"ph\":\"b\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::SpanEnd => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"id\":{tid},\"ph\":\"e\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::Instant => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}"
-                ),
-                TraceEventKind::Counter(v) => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":0,\"args\":{{\"value\":{v}}}}}"
-                ),
-            };
-        }
+        self.to_chrome_json_with_counters(&[])
     }
 
     /// Serializes the timeline like [`Trace::to_chrome_json`], but also
@@ -195,46 +126,87 @@ impl Trace {
     /// the contributing process tracks with flow (`s`/`t`/`f`) arrows so
     /// the path is visually traceable through the timeline.
     pub fn to_chrome_json_with_counters(&self, highlight: &[HighlightSegment]) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        self.push_metadata_json(&mut out);
-        self.push_events_json(&mut out);
-        if !self.events.is_empty() && !highlight.is_empty() {
-            out.push(',');
-        }
-        if !highlight.is_empty() {
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"critical-path\"}}}}"
-            );
-        }
-        for (i, seg) in highlight.iter().enumerate() {
-            let name = seg.name.replace('"', "'");
-            let b = seg.from.as_us();
-            let e = seg.to.as_us();
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{name}\",\"cat\":\"critical-path\",\"ph\":\"B\",\"ts\":{b:.3},\"pid\":1,\"tid\":0}}\
-                 ,{{\"name\":\"{name}\",\"cat\":\"critical-path\",\"ph\":\"E\",\"ts\":{e:.3},\"pid\":1,\"tid\":0}}"
-            );
-            // Flow arrows stitch the path across the process tracks it
-            // runs through.
-            let ph = if i == 0 {
-                "s"
-            } else if i + 1 == highlight.len() {
-                "f"
-            } else {
-                "t"
-            };
-            let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            let tid = seg.proc_index;
-            let _ = write!(
-                out,
-                ",{{\"name\":\"critical-path\",\"cat\":\"flow\",\"id\":1,\"ph\":\"{ph}\"{bp},\"ts\":{b:.3},\"pid\":0,\"tid\":{tid}}}"
-            );
-        }
-        out.push(']');
-        out
+        json::render(|w| {
+            w.begin_arr();
+            // Name the tracks: pid 0 is "engine", and each process's track
+            // carries the label it registered at spawn (first step wins).
+            let mut names: std::collections::BTreeMap<usize, u32> = Default::default();
+            for e in &self.events {
+                if matches!(e.kind, TraceEventKind::StepBegin | TraceEventKind::StepEnd) {
+                    names.entry(e.proc_index).or_insert(e.label);
+                }
+            }
+            if !self.events.is_empty() {
+                w.chrome_track_name(0, None, "engine");
+            }
+            for (tid, label) in names {
+                w.chrome_track_name(0, Some(tid as u64), self.label(label));
+            }
+            for e in &self.events {
+                let tid = e.proc_index as u64;
+                let (ph, span) = match e.kind {
+                    TraceEventKind::StepBegin => ("B", false),
+                    TraceEventKind::StepEnd => ("E", false),
+                    TraceEventKind::SpanBegin => ("b", true),
+                    TraceEventKind::SpanEnd => ("e", true),
+                    TraceEventKind::Instant => ("i", false),
+                    TraceEventKind::Counter(_) => ("C", false),
+                };
+                w.chrome_event(&Event {
+                    name: self.label(e.label),
+                    cat: span.then_some("span"),
+                    id: span.then_some(tid),
+                    ph,
+                    ts_us: e.at.as_us(),
+                    tid: (ph != "C").then_some(tid),
+                    ..Event::default()
+                });
+                match e.kind {
+                    TraceEventKind::Instant => w.field("s", "t"),
+                    TraceEventKind::Counter(v) => {
+                        w.key("args").begin_obj().field("value", v).end_obj()
+                    }
+                    _ => w,
+                }
+                .end_obj();
+            }
+            if !highlight.is_empty() {
+                w.chrome_track_name(1, None, "critical-path");
+            }
+            for (i, seg) in highlight.iter().enumerate() {
+                for (ph, at) in [("B", seg.from), ("E", seg.to)] {
+                    w.chrome_event(&Event {
+                        name: &seg.name,
+                        cat: Some("critical-path"),
+                        ph,
+                        ts_us: at.as_us(),
+                        pid: 1,
+                        tid: Some(0),
+                        ..Event::default()
+                    })
+                    .end_obj();
+                }
+                // Flow arrows stitch the path across the process tracks it
+                // runs through.
+                let ph = match i {
+                    0 => "s",
+                    _ if i + 1 == highlight.len() => "f",
+                    _ => "t",
+                };
+                w.chrome_event(&Event {
+                    name: "critical-path",
+                    cat: Some("flow"),
+                    id: Some(1),
+                    ph,
+                    bp: (ph == "f").then_some("e"),
+                    ts_us: seg.from.as_us(),
+                    tid: Some(seg.proc_index as u64),
+                    ..Event::default()
+                })
+                .end_obj();
+            }
+            w.end_arr();
+        })
     }
 }
 
@@ -315,6 +287,7 @@ mod tests {
         e.spawn(Ticker(1));
         e.run().unwrap();
         let json = e.take_trace().unwrap().to_chrome_json();
+        json::parse(&json).unwrap();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"ticker\""));
         assert!(json.contains("\"ph\":\"B\""));
@@ -323,16 +296,52 @@ mod tests {
 
     #[test]
     fn chrome_json_names_tracks_after_process_labels() {
+        const ODD: &str = "rank \"0\" C:\\tmp\nnext";
+        struct Odd;
+        impl Process<()> for Odd {
+            fn step(&mut self, ctx: &mut Ctx<'_, ()>) -> Step {
+                ctx.span_begin(ODD);
+                ctx.span_end();
+                Step::Done
+            }
+            fn label(&self) -> String {
+                ODD.into()
+            }
+        }
         let mut e = Engine::new(());
         e.enable_tracing();
         e.spawn(Ticker(1));
         e.spawn(Ticker(1));
+        e.spawn(Odd);
         e.run().unwrap();
         let trace = e.take_trace().unwrap();
+        let seg = HighlightSegment {
+            name: ODD.into(),
+            from: Time::ZERO,
+            to: Time::from_ps(1),
+            proc_index: 2,
+        };
         for json in [
             trace.to_chrome_json(),
             trace.to_chrome_json_with_counters(&[]),
+            trace.to_chrome_json_with_counters(std::slice::from_ref(&seg)),
         ] {
+            // Labels with a quote, a backslash and a newline survive
+            // exactly, as the track name and as the span name.
+            let doc = json::parse(&json).unwrap();
+            let events = doc.as_array().unwrap();
+            let names = |ph: &str| {
+                events
+                    .iter()
+                    .filter(|ev| ev.get("ph").and_then(json::Value::as_str) == Some(ph))
+                    .map(|ev| {
+                        let args = ev.get("args").unwrap_or(ev);
+                        args.get("name").and_then(json::Value::as_str).unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert!(names("M").contains(&ODD), "{json}");
+            assert!(names("b").contains(&ODD), "{json}");
             assert!(
                 json.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0"),
                 "{json}"
@@ -348,6 +357,14 @@ mod tests {
                 "{json}"
             );
         }
+        // And as the critical-path slice name.
+        let path = json::parse(&trace.to_chrome_json_with_counters(&[seg])).unwrap();
+        let slice = path
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|ev| ev.get("cat").and_then(json::Value::as_str) == Some("critical-path"));
+        assert_eq!(slice.unwrap().get("name").unwrap().as_str(), Some(ODD));
         // An empty trace emits no orphan metadata (still valid JSON).
         assert_eq!(Trace::default().to_chrome_json(), "[]");
     }
@@ -380,6 +397,7 @@ mod tests {
         let trace = e.take_trace().unwrap();
         assert_eq!(trace.unmatched_begins(), 0);
         let json = trace.to_chrome_json();
+        json::parse(&json).unwrap();
         assert!(json.contains("\"name\":\"phase.copy\",\"cat\":\"span\""));
         assert!(json.contains("\"ph\":\"b\""));
         assert!(json.contains("\"ph\":\"e\""));

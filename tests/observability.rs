@@ -89,6 +89,7 @@ fn collective_trace_spans_all_pair_up() {
     assert!(!trace.is_empty());
     assert_eq!(trace.unmatched_begins(), 0, "span begin without end");
     let json = trace.to_chrome_json();
+    sim::json::parse(&json).unwrap();
     assert!(json.contains("\"wait."), "wait spans missing from export");
 }
 
@@ -121,6 +122,7 @@ fn port_channel_trace_carries_fifo_depth_counters() {
         .count();
     assert!(depth_samples > 0, "no fifo.depth counter samples recorded");
     let json = trace.to_chrome_json_with_counters(&[]);
+    sim::json::parse(&json).unwrap();
     assert!(json.contains("\"ph\":\"C\""), "counter events missing");
     assert!(json.contains("fifo.depth rank"));
 }
@@ -331,12 +333,14 @@ fn timelines_cover_every_terminal_and_match_the_report() {
     assert_eq!(count(Terminal::TimedOut), report.timed_out);
     assert_eq!(count(Terminal::Evicted), report.evicted);
     let json = obs.timelines_json();
+    sim::json::parse(&json).unwrap();
     assert_eq!(
         json.matches("\"id\":").count(),
         trace.len(),
         "timeline JSON must cover every request"
     );
     let chrome = obs.timelines_chrome_json();
+    sim::json::parse(&chrome).unwrap();
     for tl in &obs.timelines {
         assert!(
             chrome.contains(&format!("req {} (", tl.id)),
@@ -371,6 +375,7 @@ fn telemetry_series_is_wellformed_and_accounts_for_work() {
     let puts: u64 = samples.iter().map(|s| s.counters[0]).sum();
     assert!(puts > 0, "no collective work showed up in the series");
     let json = sampler.to_json();
+    sim::json::parse(&json).unwrap();
     for (name, quoted) in [
         ("ops.puts", "\"ops.puts\""),
         ("serve.completed", "\"serve.completed\""),
@@ -412,6 +417,7 @@ fn serving_gauges_land_in_the_engine_trace_as_counter_tracks() {
         "no serve.* counter samples in the engine trace"
     );
     let json = t.to_chrome_json_with_counters(&[]);
+    sim::json::parse(&json).unwrap();
     for name in ["serve.queue_depth", "serve.running", "serve.kv_used_blocks"] {
         assert!(json.contains(name), "{name} counter track missing");
     }
