@@ -1,6 +1,7 @@
 //! Perf-regression gate: runs the pinned suite (see `bench::gate`),
 //! writes `BENCH_<date>.json` into the results directory, and compares
-//! medians against the committed baseline.
+//! medians against the committed baseline. A case whose engine clamped
+//! a past-time event fails by name, after the artifact is written.
 //!
 //! Usage:
 //!   perf_gate                  run suite, compare vs baseline, exit 1 on
@@ -84,8 +85,25 @@ fn main() {
     std::fs::write(&artifact, &json).expect("write artifact");
     println!("wrote {}", artifact.display());
 
+    // An engine that clamped a past-time event reordered its schedule
+    // behind the clock: that case fails whatever its timing says.
+    let mut clamped = 0usize;
+    for r in results.iter().filter(|r| r.clamped_past_events > 0) {
+        clamped += 1;
+        println!(
+            "  CLAMPED     {}: {} event(s) scheduled in the past",
+            r.name, r.clamped_past_events
+        );
+    }
+
     let baseline_path = dir.join("BENCH_baseline.json");
     if write_baseline {
+        if clamped > 0 {
+            println!(
+                "perf_gate: FAIL ({clamped} case(s) clamped past events; baseline not written)"
+            );
+            std::process::exit(1);
+        }
         std::fs::write(&baseline_path, &json).expect("write baseline");
         println!("wrote {}", baseline_path.display());
         return;
@@ -100,6 +118,10 @@ fn main() {
                 "no baseline at {}; run with --write-baseline to create one",
                 baseline_path.display()
             );
+            if clamped > 0 {
+                println!("perf_gate: FAIL ({clamped} case(s) clamped past events)");
+                std::process::exit(1);
+            }
             return;
         }
         read => read.map_err(|e| e.to_string()),
@@ -133,9 +155,9 @@ fn main() {
             }
         }
     }
-    if regressions > 0 {
+    if regressions > 0 || clamped > 0 {
         println!(
-            "perf_gate: FAIL ({regressions} regression(s) beyond {:.0}% tolerance)",
+            "perf_gate: FAIL ({regressions} regression(s) beyond {:.0}% tolerance, {clamped} case(s) clamped past events)",
             tol * 100.0
         );
         std::process::exit(1);

@@ -279,10 +279,16 @@ pub struct CaseResult {
     /// the 2×-knee serving case, measured overhead in percent for the
     /// observability case; 0 elsewhere.
     pub eps: f64,
+    /// Events the case's engines scheduled in the past and clamped to
+    /// their clock ([`sim::Engine::clamped_past_events`], summed over
+    /// every engine the case ran). Any clamp is a scheduling bug, so
+    /// `perf_gate` fails the case on a non-zero count. Not written to
+    /// the artifact; [`parse_results`] reads it as 0.
+    pub clamped_past_events: u64,
 }
 
 impl CaseResult {
-    fn from_hist(name: String, h: &Histogram) -> CaseResult {
+    fn from_hist(name: String, h: &Histogram, clamped_past_events: u64) -> CaseResult {
         CaseResult {
             name,
             samples: h.count(),
@@ -292,6 +298,7 @@ impl CaseResult {
             max_us: h.max() as f64 / 1e3,
             mean_us: h.mean() / 1e3,
             eps: 0.0,
+            clamped_past_events,
         }
     }
 }
@@ -307,11 +314,12 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
             target,
             bytes,
         } => {
+            let (lat, clamped) = iterate_collective(*coll, *stack, *target, *bytes, iters);
             let mut h = Histogram::new();
-            for us in iterate_collective(*coll, *stack, *target, *bytes, iters) {
+            for us in lat {
                 h.record((us * 1e3).round() as u64);
             }
-            CaseResult::from_hist(name, &h)
+            CaseResult::from_hist(name, &h, clamped)
         }
         Case::Serving => {
             let mut engine = inference::ServingEngine::new(
@@ -323,6 +331,7 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
             let trace = inference::synthetic_trace(6, 128, 24, 5_000.0, 3);
             let report =
                 inference::serve_trace(&mut engine, &backend, &trace, 8).expect("serving run");
+            let clamped_past_events = engine.engine_mut().clamped_past_events();
             let rl = report.request_latency;
             CaseResult {
                 name,
@@ -333,6 +342,7 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
                 max_us: rl.max_us,
                 mean_us: report.mean_latency_us,
                 eps: 0.0,
+                clamped_past_events,
             }
         }
         Case::ServingGoodput => {
@@ -364,6 +374,7 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
             );
             assert!(report.goodput > 0.0, "overload run must keep goodput");
             assert!(report.kv.balances(), "KV accounting out of balance");
+            let clamped_past_events = engine.engine_mut().clamped_past_events();
             CaseResult {
                 name,
                 samples: report.slo_met as u64,
@@ -373,27 +384,30 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
                 max_us: report.ttft.max_us,
                 mean_us: report.mean_latency_us,
                 eps: report.goodput,
+                clamped_past_events,
             }
         }
         Case::EngineThroughput { target, bytes } => {
-            let (h, eps) = run_engine_throughput(*target, *bytes, iters);
-            let mut r = CaseResult::from_hist(name, &h);
+            let (h, eps, clamped) = run_engine_throughput(*target, *bytes, iters);
+            let mut r = CaseResult::from_hist(name, &h, clamped);
             r.eps = eps;
             r
         }
         Case::SemanticVerify { target, bytes } => {
-            CaseResult::from_hist(name, &run_semantic_verify(*target, *bytes, iters))
+            let (h, clamped) = run_semantic_verify(*target, *bytes, iters);
+            CaseResult::from_hist(name, &h, clamped)
         }
         Case::ShrunkenAllReduce { target, bytes } => {
+            let (lat, clamped) = iterate_shrunken_allreduce(*target, *bytes, iters);
             let mut h = Histogram::new();
-            for us in iterate_shrunken_allreduce(*target, *bytes, iters) {
+            for us in lat {
                 h.record((us * 1e3).round() as u64);
             }
-            CaseResult::from_hist(name, &h)
+            CaseResult::from_hist(name, &h, clamped)
         }
         Case::ServingObservability => {
-            let (h, overhead) = run_serving_observability(iters);
-            let mut r = CaseResult::from_hist(name, &h);
+            let (h, overhead, clamped) = run_serving_observability(iters);
+            let mut r = CaseResult::from_hist(name, &h, clamped);
             r.eps = overhead * 100.0;
             r
         }
@@ -402,13 +416,13 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
 
 /// Runs the pinned 2×-knee serving scenario bare and instrumented,
 /// interleaved `iters` times after one untimed warmup pair, and returns
-/// the instrumented wall-clock histogram (ns) plus the median overhead
-/// fraction. Panics if the instrumented median exceeds the bare median
-/// by more than 5 % (plus 200 µs of absolute timer slack — the whole
-/// run is only tens of milliseconds), if instrumentation perturbs the
-/// simulation, or if any recorded timeline's blame buckets fail to tile
-/// its end-to-end latency exactly.
-fn run_serving_observability(iters: usize) -> (Histogram, f64) {
+/// the instrumented wall-clock histogram (ns), the median overhead
+/// fraction and the clamped past events summed over every run. Panics
+/// if the instrumented median exceeds the bare median by more than 5 %
+/// (plus 200 µs of absolute timer slack), if instrumentation perturbs
+/// the simulation, or if any recorded timeline's blame buckets fail to
+/// tile its end-to-end latency exactly.
+fn run_serving_observability(iters: usize) -> (Histogram, f64, u64) {
     use inference::{ObserveConfig, TelemetryConfig};
 
     let run = |observe: ObserveConfig| {
@@ -427,7 +441,9 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
         let t0 = std::time::Instant::now();
         let (report, obs) = inference::serve_trace_observed(&mut engine, &backend, &trace, &cfg)
             .expect("serving observability run");
-        (t0.elapsed().as_nanos() as u64, report, obs, trace.len())
+        let ns = t0.elapsed().as_nanos() as u64;
+        let clamped = engine.engine_mut().clamped_past_events();
+        (ns, report, obs, trace.len(), clamped)
     };
     let bare = ObserveConfig {
         rtrace: false,
@@ -440,8 +456,9 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
 
     // Warmup pair (untimed): absorbs first-touch allocation and fills
     // caches; also the one place the instrumented output is validated.
-    let (_, base_report, _, _) = run(bare);
-    let (_, mut report, obs, requests) = run(full);
+    let (_, base_report, _, _, mut clamped) = run(bare);
+    let (_, mut report, obs, requests, c) = run(full);
+    clamped += c;
     // The exemplar ring only exists when tracing is on; everything else
     // must be bit-identical — observability cannot perturb the run.
     report.worst_misses.clear();
@@ -468,9 +485,12 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
     let mut full_ns = Vec::with_capacity(iters);
     let mut h = Histogram::new();
     for _ in 0..iters {
-        bare_ns.push(run(bare).0);
-        let ns = run(full).0;
+        let (ns, .., c) = run(bare);
+        bare_ns.push(ns);
+        clamped += c;
+        let (ns, .., c) = run(full);
         full_ns.push(ns);
+        clamped += c;
         h.record(ns);
     }
     bare_ns.sort_unstable();
@@ -481,15 +501,16 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
         full_med <= bare_med * 1.05 + 200_000.0,
         "observability overhead over budget: bare {bare_med:.0} ns, instrumented {full_med:.0} ns"
     );
-    (h, (full_med - bare_med).max(0.0) / bare_med)
+    (h, (full_med - bare_med).max(0.0) / bare_med, clamped)
 }
 
 /// Kills one rank mid-AllReduce, shrinks, and then times `iters`
 /// steady-state launches on the survivor group's rebuilt plan. The
 /// timed iterations exclude the recovery itself — that latency is
 /// covered by the `recovery_sweep` artifact; this case pins the
-/// *post-recovery* epoch's launch latency.
-fn iterate_shrunken_allreduce(target: Target, bytes: usize, iters: usize) -> Vec<f64> {
+/// *post-recovery* epoch's launch latency. Also returns the engine's
+/// clamped past events.
+fn iterate_shrunken_allreduce(target: Target, bytes: usize, iters: usize) -> (Vec<f64>, u64) {
     use hw::{BufferId, DataType, Rank, ReduceOp};
     use sim::{Duration, FaultPlan, Time};
     let world = target.world();
@@ -525,15 +546,16 @@ fn iterate_shrunken_allreduce(target: Target, bytes: usize, iters: usize) -> Vec
             .expect("shrunken steady-state launch");
         lat.push(timing.elapsed().as_us());
     }
-    lat
+    (lat, e.clamped_past_events())
 }
 
 /// Times the full static verifier — happens-before graph, race scan,
 /// and the semantic dataflow pass against the plan's [`commverify::CollectiveSpec`]
 /// — over a hierarchical AllReduce plan compiled once. Each iteration is
 /// one cold verification (the verifier keeps no cross-run state), so the
-/// histogram is pure prover wall-clock.
-fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram {
+/// histogram is pure prover wall-clock. Also returns the engine's
+/// clamped past events.
+fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> (Histogram, u64) {
     use hw::{BufferId, DataType, Rank, ReduceOp};
     let world = target.world();
     let count = bytes / 2;
@@ -565,7 +587,7 @@ fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram 
             "semantic-verify gate case must verify clean: {report}"
         );
     }
-    h
+    (h, e.clamped_past_events())
 }
 
 /// Measures DES-core throughput: repeated small-message AllReduce on one
@@ -577,8 +599,9 @@ fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram 
 /// registered once — re-registering buffers per call is exactly the
 /// anti-pattern the paper argues against — so the timed loop measures
 /// only launch + simulation cost. An untimed warmup launch prepares and
-/// verifies the plan and absorbs first-touch allocation.
-fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogram, f64) {
+/// verifies the plan and absorbs first-touch allocation. Also returns the
+/// engine's clamped past events.
+fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogram, f64, u64) {
     use hw::{BufferId, DataType, Rank, ReduceOp};
     let world = target.world();
     let count = bytes / 2;
@@ -602,11 +625,11 @@ fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogr
     let wall = t0.elapsed().as_secs_f64();
     let events = e.events_processed() - ev0;
     crate::verify_allreduce(&e, &outs, bytes, world, "engine");
-    (h, events as f64 / wall.max(1e-9))
+    (h, events as f64 / wall.max(1e-9), e.clamped_past_events())
 }
 
 /// Runs a collective `iters` times on one warm engine, returning each
-/// iteration's latency in µs. Output correctness is verified on the
+/// iteration's latency in µs and the engine's clamped past events. Output correctness is verified on the
 /// final iteration (earlier iterations reduce in place over already
 /// reduced data, so only timing is meaningful there).
 fn iterate_collective(
@@ -615,7 +638,7 @@ fn iterate_collective(
     target: Target,
     bytes: usize,
     iters: usize,
-) -> Vec<f64> {
+) -> (Vec<f64>, u64) {
     use hw::{BufferId, DataType, Rank, ReduceOp};
     let count = bytes / 2;
     let world = target.world();
@@ -711,7 +734,7 @@ fn iterate_collective(
             }
         }
     }
-    lat
+    (lat, e.clamped_past_events())
 }
 
 fn verify(
@@ -772,6 +795,7 @@ pub fn parse_results(src: &str) -> Result<Vec<CaseResult>, String> {
             max_us: num("max_us")?,
             mean_us: num("mean_us")?,
             eps: num("eps")?,
+            clamped_past_events: 0,
         })
     };
     let cases = doc.get("cases").and_then(Value::as_array);
@@ -886,6 +910,7 @@ mod tests {
             max_us: p50 * 1.3,
             mean_us: p50,
             eps: 0.0,
+            clamped_past_events: 0,
         }
     }
 

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+#[cfg(target_arch = "x86_64")]
+mod simd;
+
 /// Element type of a collective payload.
 ///
 /// GPU collectives in the paper run predominantly on half precision
@@ -98,10 +101,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), out.len() * self.size());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-                    *o = tbl[u16::from_le_bytes([c[0], c[1]]) as usize];
+                #[cfg(target_arch = "x86_64")]
+                if simd::decode(bytes, out) {
+                    return;
                 }
+                decode_f16_scalar(bytes, out);
             }
             DataType::BF16 => {
                 for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
@@ -122,10 +126,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), acc.len() * self.size());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
-                    *a = op.apply(*a, tbl[u16::from_le_bytes([c[0], c[1]]) as usize]);
+                #[cfg(target_arch = "x86_64")]
+                if op == ReduceOp::Sum && simd::accumulate_sum(acc, bytes) {
+                    return;
                 }
+                accumulate_f16_scalar(op, acc, bytes);
             }
             DataType::BF16 => {
                 for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
@@ -148,9 +153,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), src.len() * self.size());
         match self {
             DataType::F16 => {
-                for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
-                    c.copy_from_slice(&f32_to_f16(*v).to_le_bytes());
+                #[cfg(target_arch = "x86_64")]
+                if simd::encode(bytes, src) {
+                    return;
                 }
+                encode_f16_scalar(bytes, src);
             }
             DataType::BF16 => {
                 for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
@@ -168,19 +175,18 @@ impl DataType {
     /// Fused two-address reduction over exact-length byte slices:
     /// `dst[i] = encode(op(decode(dst[i]), decode(src[i])))`.
     ///
-    /// This is the inner loop of every collective's data plane; it stays
-    /// bit-identical to the scalar decode/apply/encode sequence (the F16
-    /// path reads the same table [`f16_table`] is built from).
+    /// This is the inner loop of every collective's data plane. F16 sums
+    /// take the F16C lanes when the host has them; every path stays
+    /// bit-identical to the scalar decode/apply/encode sequence.
     pub(crate) fn reduce_lanes(self, op: ReduceOp, dst: &mut [u8], src: &[u8]) {
         debug_assert_eq!(dst.len(), src.len());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-                    let a = tbl[u16::from_le_bytes([d[0], d[1]]) as usize];
-                    let b = tbl[u16::from_le_bytes([s[0], s[1]]) as usize];
-                    d.copy_from_slice(&f32_to_f16(op.apply(a, b)).to_le_bytes());
+                #[cfg(target_arch = "x86_64")]
+                if op == ReduceOp::Sum && simd::reduce_sum(dst, src) {
+                    return;
                 }
+                reduce_f16_scalar(op, dst, src);
             }
             DataType::BF16 => {
                 for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
@@ -198,6 +204,48 @@ impl DataType {
                 }
             }
         }
+    }
+}
+
+// The scalar F16 lanes: the fallback for hosts without F16C, for
+// `Max`/`Min`, for vector tails and special-valued chunks, and the
+// reference the SIMD tests compare against. The two that add are never
+// inlined: the sign of a sum of two NaNs follows the operand order the
+// compiler picks, so fallback and reference must run one machine-code
+// copy to agree bit for bit.
+
+/// Scalar F16 [`DataType::decode_lanes`].
+pub(crate) fn decode_f16_scalar(bytes: &[u8], out: &mut [f32]) {
+    let tbl = f16_table();
+    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *o = tbl[u16::from_le_bytes([c[0], c[1]]) as usize];
+    }
+}
+
+/// Scalar F16 [`DataType::accumulate_lanes`].
+#[inline(never)]
+pub(crate) fn accumulate_f16_scalar(op: ReduceOp, acc: &mut [f32], bytes: &[u8]) {
+    let tbl = f16_table();
+    for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
+        *a = op.apply(*a, tbl[u16::from_le_bytes([c[0], c[1]]) as usize]);
+    }
+}
+
+/// Scalar F16 [`DataType::encode_lanes`].
+pub(crate) fn encode_f16_scalar(bytes: &mut [u8], src: &[f32]) {
+    for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
+        c.copy_from_slice(&f32_to_f16(*v).to_le_bytes());
+    }
+}
+
+/// Scalar F16 [`DataType::reduce_lanes`].
+#[inline(never)]
+pub(crate) fn reduce_f16_scalar(op: ReduceOp, dst: &mut [u8], src: &[u8]) {
+    let tbl = f16_table();
+    for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
+        let a = tbl[u16::from_le_bytes([d[0], d[1]]) as usize];
+        let b = tbl[u16::from_le_bytes([s[0], s[1]]) as usize];
+        d.copy_from_slice(&f32_to_f16(op.apply(a, b)).to_le_bytes());
     }
 }
 
@@ -306,8 +354,222 @@ pub fn f32_to_f16(v: f32) -> u16 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Binary16 patterns the vector lanes must hand to the scalar code
+    /// or get exactly right: signalling and quiet NaNs of both signs,
+    /// ±Inf, ±0, subnormals and ±65504.
+    const SPECIAL_F16: [u16; 16] = [
+        0x7c01, 0xfc01, 0x7dff, 0x7e00, 0xfe00, 0x7fff, 0x7c00, 0xfc00, 0x0000, 0x8000, 0x0001,
+        0x03ff, 0x8001, 0x83ff, 0x7bff, 0xfbff,
+    ];
+
+    /// `n` deterministic binary16 patterns: finite halves, with about one
+    /// lane in four drawn from [`SPECIAL_F16`] when `specials` is set.
+    pub(crate) fn halves(seed: u64, n: usize, specials: bool) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut out = Vec::with_capacity(2 * n);
+        for _ in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let h = if specials && (x >> 32).is_multiple_of(4) {
+                SPECIAL_F16[(x >> 40) as usize % SPECIAL_F16.len()]
+            } else if x as u16 & 0x7c00 == 0x7c00 {
+                x as u16 & !0x4000
+            } else {
+                x as u16
+            };
+            out.extend_from_slice(&h.to_le_bytes());
+        }
+        out
+    }
+
+    /// Bit patterns of `f32` accumulators: decoded halves (through the
+    /// scalar table), with f32 NaNs, infinities, `f32::MAX` and
+    /// values past the half range mixed in when `specials` is set.
+    fn floats(seed: u64, n: usize, specials: bool) -> Vec<f32> {
+        const SPECIAL_F32: [u32; 10] = [
+            0x7fc0_0000,
+            0xffc0_0000,
+            0x7f80_0001,
+            0xff80_0001,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7f7f_ffff,
+            0x477f_f000,
+            0x477f_efff,
+            0x3300_0001,
+        ];
+        let mut out = vec![0.0; n];
+        decode_f16_scalar(&halves(seed, n, specials), &mut out);
+        if specials {
+            for (i, v) in out
+                .iter_mut()
+                .enumerate()
+                .skip(seed as usize % 5)
+                .step_by(5)
+            {
+                *v = f32::from_bits(SPECIAL_F32[(i + seed as usize) % SPECIAL_F32.len()]);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Copies `bytes` into a fresh buffer at byte offset `off`, so lanes
+    /// start on an odd or even address.
+    fn at(off: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut v = vec![0xa5; off];
+        v.extend_from_slice(bytes);
+        v
+    }
+
+    #[test]
+    fn decode_lanes_match_scalar_on_every_f16_pattern() {
+        let all: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let mut got = vec![0.0; 1 << 16];
+        let mut want = vec![0.0; 1 << 16];
+        DataType::F16.decode_lanes(&all, &mut got);
+        decode_f16_scalar(&all, &mut want);
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn f16_lanes_match_scalar_at_every_length_offset_and_special() {
+        for n in 0..=40usize {
+            for off in 0..4 {
+                for specials in [false, true] {
+                    let seed = (n * 8 + off * 2 + specials as usize) as u64;
+                    let a = halves(seed, n, specials);
+                    let b = halves(seed + 1000, n, specials);
+                    let ctx = format!("n {n} offset {off} specials {specials}");
+                    for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
+                        let mut got = at(off, &a);
+                        let mut want = a.clone();
+                        DataType::F16.reduce_lanes(
+                            op,
+                            &mut got[off..],
+                            &at(3 - off, &b)[3 - off..],
+                        );
+                        reduce_f16_scalar(op, &mut want, &b);
+                        assert_eq!(&got[off..], &want[..], "reduce {op} {ctx}");
+
+                        let acc = floats(seed, n, specials);
+                        let (mut got, mut want) = (acc.clone(), acc);
+                        DataType::F16.accumulate_lanes(op, &mut got, &at(off, &b)[off..]);
+                        accumulate_f16_scalar(op, &mut want, &b);
+                        assert_eq!(bits(&got), bits(&want), "accumulate {op} {ctx}");
+                    }
+                    let mut got = vec![0.0; n];
+                    let mut want = vec![0.0; n];
+                    DataType::F16.decode_lanes(&at(off, &a)[off..], &mut got);
+                    decode_f16_scalar(&a, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "decode {ctx}");
+
+                    let src = floats(seed, n, specials);
+                    let mut got = vec![0; off + 2 * n];
+                    let mut want = vec![0; 2 * n];
+                    DataType::F16.encode_lanes(&mut got[off..], &src);
+                    encode_f16_scalar(&mut want, &src);
+                    assert_eq!(&got[off..], &want[..], "encode {ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f16_sum_overflow_and_cancellation_match_scalar() {
+        // Each pair sits in an otherwise ordinary 8-lane chunk:
+        // 65504 + 65504 overflows to Inf, x + (-x) cancels to +0, and
+        // 65504 + 16 is the tie that rounds to Inf.
+        let pairs: [(u16, u16); 6] = [
+            (0x7bff, 0x7bff),
+            (0xfbff, 0xfbff),
+            (0x3c00, 0xbc00),
+            (0x8001, 0x0001),
+            (0x7bff, 0x4c00),
+            (0x7bff, 0x4bff),
+        ];
+        for (i, &(x, y)) in pairs.iter().enumerate() {
+            let mut a = halves(i as u64, 8, false);
+            let mut b = halves(i as u64 + 50, 8, false);
+            a[2 * i..2 * i + 2].copy_from_slice(&x.to_le_bytes());
+            b[2 * i..2 * i + 2].copy_from_slice(&y.to_le_bytes());
+            let mut got = a.clone();
+            let mut want = a.clone();
+            DataType::F16.reduce_lanes(ReduceOp::Sum, &mut got, &b);
+            reduce_f16_scalar(ReduceOp::Sum, &mut want, &b);
+            assert_eq!(got, want, "{x:#06x} + {y:#06x}");
+
+            let mut got = vec![0.0; 8];
+            DataType::F16.decode_lanes(&a, &mut got);
+            let mut want = got.clone();
+            DataType::F16.accumulate_lanes(ReduceOp::Sum, &mut got, &b);
+            accumulate_f16_scalar(ReduceOp::Sum, &mut want, &b);
+            assert_eq!(bits(&got), bits(&want), "{x:#06x} + {y:#06x}");
+            let mut enc_got = vec![0; 16];
+            let mut enc_want = vec![0; 16];
+            DataType::F16.encode_lanes(&mut enc_got, &got);
+            encode_f16_scalar(&mut enc_want, &got);
+            assert_eq!(enc_got, enc_want, "{x:#06x} + {y:#06x}");
+        }
+    }
+
+    /// Runs `f(hi)` for every `hi` in `0..=u16::MAX` on a few threads.
+    fn for_all_high_halves(f: impl Fn(u16) + Sync) {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let f = &f;
+                s.spawn(move || {
+                    for hi in (t..=usize::from(u16::MAX)).step_by(threads) {
+                        f(hi as u16);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs: run with --release -- --ignored"]
+    fn f16_sum_matches_scalar_on_all_pairs() {
+        let all: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        for_all_high_halves(|a| {
+            let mut got = a.to_le_bytes().repeat(1 << 16);
+            let mut want = got.clone();
+            DataType::F16.reduce_lanes(ReduceOp::Sum, &mut got, &all);
+            reduce_f16_scalar(ReduceOp::Sum, &mut want, &all);
+            if let Some(i) = (0..1 << 16).find(|&i| got[2 * i..2 * i + 2] != want[2 * i..2 * i + 2])
+            {
+                panic!(
+                    "{a:#06x} + {i:#06x}: {:?} != {:?}",
+                    &got[2 * i..2 * i + 2],
+                    &want[2 * i..2 * i + 2]
+                );
+            }
+        });
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs: run with --release -- --ignored"]
+    fn f16_encoder_matches_scalar_on_all_f32() {
+        for_all_high_halves(|hi| {
+            let src: Vec<f32> = (0..=u16::MAX)
+                .map(|lo| f32::from_bits(u32::from(hi) << 16 | u32::from(lo)))
+                .collect();
+            let mut got = vec![0; 2 << 16];
+            DataType::F16.encode_lanes(&mut got, &src);
+            for (v, c) in src.iter().zip(got.chunks_exact(2)) {
+                let h = u16::from_le_bytes([c[0], c[1]]);
+                assert_eq!(h, f32_to_f16(*v), "f32 bits {:#010x}", v.to_bits());
+            }
+        });
+    }
 
     #[test]
     fn f16_round_trip_exact_values() {

@@ -267,9 +267,16 @@ impl MemoryPool {
         len: usize,
     ) {
         self.moved_bytes += (len * dsts.len()) as u64;
-        let data = self.buffers[src.0].data[src_off..src_off + len].to_vec();
-        for &(dst, dst_off) in dsts {
-            self.buffers[dst.0].data[dst_off..dst_off + len].copy_from_slice(&data);
+        for &(dst, dst_off) in dsts.iter().filter(|d| d.0 != src) {
+            let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
+            d.data[dst_off..dst_off + len].copy_from_slice(&s.data[src_off..src_off + len]);
+        }
+        // Destinations in the source buffer go last, so every other
+        // destination receives the source as it was before the call.
+        for &(_, dst_off) in dsts.iter().filter(|d| d.0 == src) {
+            self.buffers[src.0]
+                .data
+                .copy_within(src_off..src_off + len, dst_off);
         }
     }
 
@@ -308,6 +315,111 @@ fn split_two(v: &mut [Buffer], a: usize, b: usize) -> (&mut Buffer, &mut Buffer)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtype::tests::halves;
+    use crate::dtype::{
+        accumulate_f16_scalar, decode_f16_scalar, encode_f16_scalar, reduce_f16_scalar,
+    };
+
+    const OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min];
+
+    /// Scalar reference of a staged F16 fold: `op(srcs[0], srcs[1], ..)`.
+    fn scalar_fold(op: ReduceOp, srcs: &[&[u8]]) -> Vec<u8> {
+        let mut acc = vec![0.0; srcs[0].len() / 2];
+        decode_f16_scalar(srcs[0], &mut acc);
+        for s in &srcs[1..] {
+            accumulate_f16_scalar(op, &mut acc, s);
+        }
+        let mut out = vec![0; srcs[0].len()];
+        encode_f16_scalar(&mut out, &acc);
+        out
+    }
+
+    #[test]
+    fn f16_reduce_matches_scalar_reference() {
+        for n in [0, 1, 7, 8, 9, 33, 40] {
+            for off in [0, 1, 3] {
+                for op in OPS {
+                    let a = halves(n as u64, n, true);
+                    let b = halves(n as u64 + 99, n, true);
+                    let mut want = a.clone();
+                    reduce_f16_scalar(op, &mut want, &b);
+                    let len = 2 * n;
+                    let mut p = MemoryPool::new();
+                    let src = p.alloc(Rank(0), off + len);
+                    let dst = p.alloc(Rank(1), off + len);
+                    p.write(src, off, &b);
+                    p.write(dst, off, &a);
+                    p.reduce(src, off, dst, off, n, DataType::F16, op);
+                    assert_eq!(p.bytes(dst, off, len), &want[..], "n {n} off {off} {op}");
+                    // In place, with the source before and after the
+                    // destination.
+                    for (s_off, d_off) in [(off, off + len), (off + len, off)] {
+                        let buf = p.alloc(Rank(0), off + 2 * len);
+                        p.write(buf, s_off, &b);
+                        p.write(buf, d_off, &a);
+                        p.reduce(buf, s_off, buf, d_off, n, DataType::F16, op);
+                        let ctx = format!("n {n} src {s_off} dst {d_off} {op}");
+                        assert_eq!(p.bytes(buf, d_off, len), &want[..], "{ctx}");
+                        assert_eq!(p.bytes(buf, s_off, len), &b[..], "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f16_reduce_into_matches_scalar_reference_when_aliased() {
+        for n in [0, 1, 7, 8, 9, 33, 40] {
+            for off in [0, 1, 3] {
+                for op in OPS {
+                    let a = halves(n as u64 + 7, n, true);
+                    let want = scalar_fold(op, &[&a, &a]);
+                    let len = 2 * n;
+                    let mut p = MemoryPool::new();
+                    // All three ranges the same, then the destination one
+                    // element past both operands.
+                    for d_off in [off, off + 2] {
+                        let buf = p.alloc(Rank(0), off + len + 2);
+                        p.write(buf, off, &a);
+                        p.reduce_into(buf, off, buf, off, buf, d_off, n, DataType::F16, op);
+                        let ctx = format!("n {n} off {off} dst {d_off} {op}");
+                        assert_eq!(p.bytes(buf, d_off, len), &want[..], "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f16_multimem_reduce_matches_scalar_reference() {
+        for sources in [1, 8] {
+            for n in [0, 1, 7, 8, 9, 33, 40] {
+                for op in OPS {
+                    let data: Vec<Vec<u8>> = (0..sources)
+                        .map(|i| halves((n * 8 + i) as u64, n, true))
+                        .collect();
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    let want = scalar_fold(op, &refs);
+                    let len = 2 * n;
+                    let mut p = MemoryPool::new();
+                    let srcs: Vec<(BufferId, usize)> = data
+                        .iter()
+                        .enumerate()
+                        .map(|(i, d)| {
+                            let b = p.alloc(Rank(i), 1 + len);
+                            p.write(b, 1, d);
+                            (b, 1)
+                        })
+                        .collect();
+                    let dst = p.alloc(Rank(0), 3 + len);
+                    p.multimem_reduce(&srcs, dst, 3, n, DataType::F16, op);
+                    let ctx = format!("{sources} sources n {n} {op}");
+                    assert_eq!(p.bytes(dst, 3, len), &want[..], "{ctx}");
+                    assert_eq!(p.moved_bytes(), ((sources + 1) * len) as u64, "{ctx}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn alloc_and_copy_between_ranks() {
@@ -377,6 +489,16 @@ mod tests {
         p.multimem_broadcast(src, 0, &[(d1, 0), (d2, 0)], 4);
         assert_eq!(p.bytes(d1, 0, 4), &[5, 6, 7, 8]);
         assert_eq!(p.bytes(d2, 0, 4), &[5, 6, 7, 8]);
+        assert_eq!(p.moved_bytes(), 8);
+        // A destination inside the source buffer, listed first, still
+        // leaves the later destinations the source as it was.
+        let src = p.alloc(Rank(0), 6);
+        p.write(src, 0, &[1, 2, 3, 4, 0, 0]);
+        let d3 = p.alloc(Rank(1), 4);
+        p.multimem_broadcast(src, 0, &[(src, 2), (d3, 0)], 4);
+        assert_eq!(p.bytes(src, 0, 6), &[1, 2, 1, 2, 3, 4]);
+        assert_eq!(p.bytes(d3, 0, 4), &[1, 2, 3, 4]);
+        assert_eq!(p.moved_bytes(), 16);
     }
 
     #[test]
