@@ -6,12 +6,38 @@
 //! roughly what factor, and where the crossovers fall — is the
 //! reproduction target (see EXPERIMENTS.md at the repository root).
 
+use collective::{AllGatherAlgo, AllReduceAlgo, PeerOrder, ScratchReuse};
 use hw::EnvKind;
 use inference::{BatchConfig, ModelConfig, MscclppBackend, NcclBackend, ServingEngine};
 
 use crate::{
-    fmt_bytes, large_sizes, msccl_allgather, msccl_allreduce, mscclpp_allgather, mscclpp_allreduce,
-    nccl_allgather, nccl_allreduce, print_sweep, small_sizes, Target,
+    fmt_bytes, large_sizes, print_sweep, small_sizes, Algo, Coll, Measure, NcclPolicy, Point,
+    Stack, Target,
+};
+
+/// `coll` of `bytes` per rank on each stack, in [`Stack::ALL`] order.
+fn stack_points(coll: Coll, t: Target, bytes: usize) -> [Point; 3] {
+    Stack::ALL.map(|s| Measure::new(s, coll, t, bytes).point())
+}
+
+/// MSCCL++ forced onto `algo` for `coll` on `t`.
+fn mscclpp_forced(coll: Coll, t: Target, bytes: usize, algo: Algo) -> Point {
+    Measure {
+        algo: Some(algo),
+        ..Measure::new(Stack::Mscclpp, coll, t, bytes)
+    }
+    .point()
+}
+
+/// MSCCL++ forced onto the AllReduce `algo` on `t`.
+fn allreduce_forced(t: Target, bytes: usize, algo: AllReduceAlgo) -> Point {
+    mscclpp_forced(Coll::AllReduce, t, bytes, Algo::AllReduce(algo))
+}
+
+/// The all-peers-at-once HB two-phase AllReduce, the MemoryChannel
+/// reference of the §5.1 and §5.3 comparisons.
+const STAGGERED_HB: AllReduceAlgo = AllReduceAlgo::TwoPhaseHb {
+    order: PeerOrder::Staggered,
 };
 
 /// Table 1: the evaluation environments.
@@ -52,38 +78,36 @@ pub fn table1() {
     }
 }
 
-/// One AllReduce sweep (small: latency µs; large: AlgoBW GB/s).
-fn allreduce_sweep(t: Target, max_large: usize, env_name: &str) {
+/// One sweep of `coll` over the three stacks (small: latency µs; large:
+/// AlgoBW GB/s). Row sizes are the message size: the gathered total for
+/// AllGather, of which each rank contributes `1 / world`.
+fn sweep(coll: Coll, t: Target, max_large: usize, env_name: &str) {
+    let per_rank = |b: usize| match coll {
+        Coll::AllReduce => b,
+        Coll::AllGather => b / t.world(),
+    };
+    let name = format!("{coll:?} {env_name} {}", t.label());
     let small: Vec<_> = small_sizes()
         .into_iter()
+        .filter(|&b| per_rank(b) >= 16)
         .map(|b| {
-            let n = nccl_allreduce(t, b);
-            let m = msccl_allreduce(t, b);
-            let p = mscclpp_allreduce(t, b, None);
+            let [n, m, p] = stack_points(coll, t, per_rank(b));
             (b, n.latency_us, m.latency_us, p.latency_us)
         })
         .collect();
-    print_sweep(
-        &format!("AllReduce {env_name} {} small (latency)", t.label()),
-        "us",
-        &small,
-        |r| (r.1 / r.3, r.2 / r.3),
-    );
+    print_sweep(&format!("{name} small (latency)"), "us", &small, |r| {
+        (r.1 / r.3, r.2 / r.3)
+    });
     let large: Vec<_> = large_sizes(max_large)
         .into_iter()
         .map(|b| {
-            let n = nccl_allreduce(t, b);
-            let m = msccl_allreduce(t, b);
-            let p = mscclpp_allreduce(t, b, None);
+            let [n, m, p] = stack_points(coll, t, per_rank(b));
             (b, n.algbw_gbps(), m.algbw_gbps(), p.algbw_gbps())
         })
         .collect();
-    print_sweep(
-        &format!("AllReduce {env_name} {} large (AlgoBW)", t.label()),
-        "GB/s",
-        &large,
-        |r| (r.3 / r.1, r.3 / r.2),
-    );
+    print_sweep(&format!("{name} large (AlgoBW)"), "GB/s", &large, |r| {
+        (r.3 / r.1, r.3 / r.2)
+    });
 }
 
 /// Figure 8: AllReduce on A100-40G across 1, 2, and 4 nodes.
@@ -98,53 +122,12 @@ pub fn fig8(full: bool) {
         [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
     };
     for (nodes, cap) in caps {
-        allreduce_sweep(
-            Target {
-                env: EnvKind::A100_40G,
-                nodes,
-            },
-            cap,
-            "A100-40G",
-        );
+        let t = Target {
+            env: EnvKind::A100_40G,
+            nodes,
+        };
+        sweep(Coll::AllReduce, t, cap, "A100-40G");
     }
-}
-
-/// One AllGather sweep; `bytes` in tables is the gathered total.
-fn allgather_sweep(t: Target, max_large_total: usize, env_name: &str) {
-    let w = t.world();
-    let small: Vec<_> = small_sizes()
-        .into_iter()
-        .filter(|b| b / w >= 16)
-        .map(|b| {
-            let per = b / w;
-            let n = nccl_allgather(t, per);
-            let m = msccl_allgather(t, per);
-            let p = mscclpp_allgather(t, per);
-            (b, n.latency_us, m.latency_us, p.latency_us)
-        })
-        .collect();
-    print_sweep(
-        &format!("AllGather {env_name} {} small (latency)", t.label()),
-        "us",
-        &small,
-        |r| (r.1 / r.3, r.2 / r.3),
-    );
-    let large: Vec<_> = large_sizes(max_large_total)
-        .into_iter()
-        .map(|b| {
-            let per = b / w;
-            let n = nccl_allgather(t, per);
-            let m = msccl_allgather(t, per);
-            let p = mscclpp_allgather(t, per);
-            (b, n.algbw_gbps(), m.algbw_gbps(), p.algbw_gbps())
-        })
-        .collect();
-    print_sweep(
-        &format!("AllGather {env_name} {} large (AlgoBW)", t.label()),
-        "GB/s",
-        &large,
-        |r| (r.3 / r.1, r.3 / r.2),
-    );
 }
 
 /// Figure 9: AllGather on A100-40G across 1, 2, and 4 nodes.
@@ -156,14 +139,11 @@ pub fn fig9(full: bool) {
         [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
     };
     for (nodes, cap) in caps {
-        allgather_sweep(
-            Target {
-                env: EnvKind::A100_40G,
-                nodes,
-            },
-            cap,
-            "A100-40G",
-        );
+        let t = Target {
+            env: EnvKind::A100_40G,
+            nodes,
+        };
+        sweep(Coll::AllGather, t, cap, "A100-40G");
     }
 }
 
@@ -235,17 +215,11 @@ pub fn fig11(full: bool) {
         env: EnvKind::H100,
         nodes: 1,
     };
-    allreduce_sweep(t, if full { 256 << 20 } else { 16 << 20 }, "H100");
-
     let bytes = if full { 256 << 20 } else { 16 << 20 };
-    let switch = mscclpp_allreduce(t, bytes, Some(collective::AllReduceAlgo::TwoPhaseSwitch));
-    let mem = mscclpp_allreduce(
-        t,
-        bytes,
-        Some(collective::AllReduceAlgo::TwoPhaseHb {
-            order: collective::PeerOrder::Staggered,
-        }),
-    );
+    sweep(Coll::AllReduce, t, bytes, "H100");
+
+    let switch = allreduce_forced(t, bytes, AllReduceAlgo::TwoPhaseSwitch);
+    let mem = allreduce_forced(t, bytes, STAGGERED_HB);
     println!(
         "\nSwitchChannel vs equivalent MemoryChannel at {}: {:.0} vs {:.0} GB/s (+{:.0}%)  [paper: +56%]",
         fmt_bytes(bytes),
@@ -258,14 +232,12 @@ pub fn fig11(full: bool) {
 /// Figure 12: AllReduce on MI300x (single node) vs RCCL/MSCCL.
 pub fn fig12(full: bool) {
     println!("\n==== Figure 12: AllReduce, MI300x, single node (RCCL baseline) ====");
-    allreduce_sweep(
-        Target {
-            env: EnvKind::MI300X,
-            nodes: 1,
-        },
-        if full { 256 << 20 } else { 16 << 20 },
-        "MI300x",
-    );
+    let t = Target {
+        env: EnvKind::MI300X,
+        nodes: 1,
+    };
+    let max_large = if full { 256 << 20 } else { 16 << 20 };
+    sweep(Coll::AllReduce, t, max_large, "MI300x");
 }
 
 /// The §5.1 gain-breakdown rows: 1 KB latency per stack and the
@@ -276,9 +248,7 @@ pub fn gain_breakdown(full: bool) {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let n = nccl_allreduce(t, 1 << 10);
-    let m = msccl_allreduce(t, 1 << 10);
-    let p = mscclpp_allreduce(t, 1 << 10, None);
+    let [n, m, p] = stack_points(Coll::AllReduce, t, 1 << 10);
     println!(
         "1KB AllReduce latency: NCCL {:.1}us, MSCCL {:.1}us, MSCCL++ {:.1}us \
          (MSCCL->MSCCL++ cut {:.0}%)  [paper: 9.5us -> 5.0us, 47%]",
@@ -288,14 +258,8 @@ pub fn gain_breakdown(full: bool) {
         (1.0 - p.latency_us / m.latency_us) * 100.0
     );
     let bytes = if full { 256 << 20 } else { 16 << 20 };
-    let port = mscclpp_allreduce(t, bytes, Some(collective::AllReduceAlgo::TwoPhasePort));
-    let mem = mscclpp_allreduce(
-        t,
-        bytes,
-        Some(collective::AllReduceAlgo::TwoPhaseHb {
-            order: collective::PeerOrder::Staggered,
-        }),
-    );
+    let port = allreduce_forced(t, bytes, AllReduceAlgo::TwoPhasePort);
+    let mem = allreduce_forced(t, bytes, STAGGERED_HB);
     println!(
         "PortChannel vs MemoryChannel AllReduce at {}: {:.0} vs {:.0} GB/s (+{:.1}%)  \
          [paper: +6.2% at 1GB; 256MB is this reproduction's memory cap]",
@@ -319,39 +283,15 @@ pub fn table_registers() {
 
 /// §2.2.2 ablation: thread-copy vs DMA-copy AllGather bus bandwidth.
 pub fn ablation_copy_modes(full: bool) {
-    use hw::{DataType, Machine, Rank};
-    use sim::Engine;
-
     println!("\n==== §2.2.2 ablation: AllGather copy modes (A100, 8 GPUs) ====");
     let per_rank_bytes = (if full { 128usize << 20 } else { 32 << 20 }) / 8;
-    let count = per_rank_bytes / 2;
-    let run = |algo: collective::AllGatherAlgo| -> f64 {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_80G.spec(1)));
-        hw::wire(&mut e);
-        let inputs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), per_rank_bytes))
-            .collect();
-        let outputs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), per_rank_bytes * 8))
-            .collect();
-        for (r, &b) in inputs.iter().enumerate() {
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F16, move |i| crate::input_val(r, i));
-        }
-        let comm = collective::CollComm::new();
-        let t = comm
-            .all_gather_with(&mut e, &inputs, &outputs, count, DataType::F16, algo)
-            .expect("allgather")
-            .elapsed()
-            .as_us();
-        // Spot-verify.
-        let data = e.world().pool().bytes(outputs[3], 5 * per_rank_bytes, 8);
-        assert_eq!(DataType::F16.decode(data, 0), crate::input_val(5, 0));
-        t
+    let t = Target {
+        env: EnvKind::A100_80G,
+        nodes: 1,
     };
-    let thread_us = run(collective::AllGatherAlgo::AllPairsHb);
-    let dma_us = run(collective::AllGatherAlgo::AllPairsPort);
+    let run = |algo| mscclpp_forced(Coll::AllGather, t, per_rank_bytes, Algo::AllGather(algo));
+    let thread_us = run(AllGatherAlgo::AllPairsHb).latency_us;
+    let dma_us = run(AllGatherAlgo::AllPairsPort).latency_us;
     // Bus bandwidth = moved bytes per GPU / time = (N-1)/N * total / t.
     let total = (per_rank_bytes * 8) as f64;
     let bus = |us: f64| total * 7.0 / 8.0 / (us * 1e3);
@@ -451,22 +391,12 @@ pub fn ablation_rotation() {
         nodes: 1,
     };
     for bytes in [32 << 10, 256 << 10, 1 << 20] {
-        let rot = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseLl {
-                reuse: collective::ScratchReuse::Rotate,
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
-        let bar = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseLl {
-                reuse: collective::ScratchReuse::Barrier,
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
+        let ll = |reuse| AllReduceAlgo::TwoPhaseLl {
+            reuse,
+            order: PeerOrder::Staggered,
+        };
+        let rot = allreduce_forced(t, bytes, ll(ScratchReuse::Rotate));
+        let bar = allreduce_forced(t, bytes, ll(ScratchReuse::Barrier));
         println!(
             "{:>8}: rotate {:.2}us, barrier {:.2}us (rotation saves {:.1}%)",
             fmt_bytes(bytes),
@@ -489,19 +419,13 @@ pub fn ablation_loop_order(full: bool) {
     } else {
         vec![1 << 20, 16 << 20]
     } {
-        let stag = mscclpp_allreduce(
+        let stag = allreduce_forced(t, bytes, STAGGERED_HB);
+        let seq = allreduce_forced(
             t,
             bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseHb {
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
-        let seq = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseHb {
-                order: collective::PeerOrder::Sequential,
-            }),
+            AllReduceAlgo::TwoPhaseHb {
+                order: PeerOrder::Sequential,
+            },
         );
         println!(
             "{:>8}: all-peers-at-once {:.0} GB/s, one-peer-at-a-time {:.0} GB/s ({:.2}x)",
@@ -518,19 +442,28 @@ pub fn ablation_loop_order(full: bool) {
 /// figure). MSCCL++'s zero-copy all-pairs keeps ports busy nearly the
 /// whole collective; NCCL's ring pays staging and synchronization gaps.
 pub fn utilization_report(full: bool) {
-    use hw::{DataType, Machine, Rank, ReduceOp};
-    use mscclpp::Setup;
-    use sim::Engine;
-
     println!("\n==== Link utilization during a large AllReduce (A100-40G, 8 GPUs) ====");
     let bytes = if full { 64 << 20 } else { 16 << 20 };
-    let count = bytes / 2;
-
-    let mut runs: Vec<crate::report::StackRun> = Vec::new();
-    let mut report = |name: &str, stack: &str, run: &mut dyn FnMut() -> (Engine<Machine>, f64)| {
-        let (engine, elapsed_us) = run();
-        runs.push(crate::report::snapshot(stack, bytes, elapsed_us, &engine));
-        let util = hw::port_utilization(&engine);
+    let target = Target {
+        env: EnvKind::A100_40G,
+        nodes: 1,
+    };
+    let mut runs = Vec::new();
+    for (name, stack) in [("NCCL", Stack::Nccl), ("MSCCL++", Stack::Mscclpp)] {
+        let run = Measure {
+            nccl: NcclPolicy::Tuned,
+            in_place: true,
+            ..Measure::new(stack, Coll::AllReduce, target, bytes)
+        }
+        .run();
+        let elapsed_us = run.point.latency_us;
+        runs.push(crate::report::snapshot(
+            stack.name(),
+            bytes,
+            elapsed_us,
+            &run.engine,
+        ));
+        let util = hw::port_utilization(&run.engine);
         let avg_egress: f64 = util
             .iter()
             .map(|u| u.egress_busy.as_us() / elapsed_us)
@@ -546,51 +479,8 @@ pub fn utilization_report(full: bool) {
             avg_egress * 100.0,
             avg_ingress * 100.0
         );
-    };
+    }
 
-    report("NCCL", "nccl", &mut || {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let bufs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let t = comm
-            .all_reduce(
-                &mut e,
-                &bufs,
-                &bufs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                ncclsim::tune(bytes, 1),
-            )
-            .unwrap()
-            .elapsed()
-            .as_us();
-        (e, t)
-    });
-    report("MSCCL++", "mscclpp", &mut || {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
-        hw::wire(&mut e);
-        let bufs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let comm = collective::CollComm::new();
-        let t = comm
-            .all_reduce(&mut e, &bufs, &bufs, count, DataType::F16, ReduceOp::Sum)
-            .unwrap()
-            .elapsed()
-            .as_us();
-        (e, t)
-    });
-
-    let target = crate::Target {
-        env: EnvKind::A100_40G,
-        nodes: 1,
-    };
     let json = crate::report::runs_to_json("utilization", target, &runs);
     match crate::report::write_results_json("utilization.json", &json) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -12,38 +12,8 @@ use profile::Histogram;
 use sim::json::{self, Fixed, Value};
 
 use crate::report::begin_artifact;
-use crate::Target;
+use crate::{Coll, Measure, NcclPolicy, Runner, Stack, Target};
 use hw::EnvKind;
-
-/// Which collective a [`Case`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coll {
-    /// AllReduce over the full world.
-    AllReduce,
-    /// AllGather over the full world (`bytes` is the per-rank chunk).
-    AllGather,
-}
-
-/// Which stack runs the collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// The NCCL model (ring/tree, tuner-pinned choice).
-    Nccl,
-    /// MSCCL over the NCCL transport.
-    Msccl,
-    /// MSCCL++ (default algorithm selection).
-    Mscclpp,
-}
-
-impl Stack {
-    fn name(self) -> &'static str {
-        match self {
-            Stack::Nccl => "nccl",
-            Stack::Msccl => "msccl",
-            Stack::Mscclpp => "mscclpp",
-        }
-    }
-}
 
 /// One pinned suite entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,12 +284,18 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
             target,
             bytes,
         } => {
-            let (lat, clamped) = iterate_collective(*coll, *stack, *target, *bytes, iters);
+            // NCCL launches at its tuner's choice, the only one `Tuned`
+            // gives; every launch is verified.
+            let m = Measure {
+                nccl: NcclPolicy::Tuned,
+                ..Measure::new(*stack, *coll, *target, *bytes)
+            };
+            let mut runner = Runner::new(crate::fresh_engine(m.target), m, m.choices()[0]);
             let mut h = Histogram::new();
-            for us in lat {
-                h.record((us * 1e3).round() as u64);
+            for _ in 0..iters {
+                h.record((runner.launch() * 1e3).round() as u64);
             }
-            CaseResult::from_hist(name, &h, clamped)
+            CaseResult::from_hist(name, &h, runner.engine.clamped_past_events())
         }
         Case::Serving => {
             let mut engine = inference::ServingEngine::new(
@@ -626,129 +602,6 @@ fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogr
     let events = e.events_processed() - ev0;
     crate::verify_allreduce(&e, &outs, bytes, world, "engine");
     (h, events as f64 / wall.max(1e-9), e.clamped_past_events())
-}
-
-/// Runs a collective `iters` times on one warm engine, returning each
-/// iteration's latency in µs and the engine's clamped past events. Output correctness is verified on the
-/// final iteration (earlier iterations reduce in place over already
-/// reduced data, so only timing is meaningful there).
-fn iterate_collective(
-    coll: Coll,
-    stack: Stack,
-    target: Target,
-    bytes: usize,
-    iters: usize,
-) -> (Vec<f64>, u64) {
-    use hw::{BufferId, DataType, Rank, ReduceOp};
-    let count = bytes / 2;
-    let world = target.world();
-    let mut e = crate::fresh_engine(target);
-    let out_len = match coll {
-        Coll::AllReduce => bytes,
-        Coll::AllGather => bytes * world,
-    };
-    let outs: Vec<BufferId> = (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), out_len))
-        .collect();
-    let mut lat = Vec::with_capacity(iters);
-
-    match stack {
-        Stack::Mscclpp => {
-            let comm = collective::CollComm::new();
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => {
-                        comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-                    }
-                    Coll::AllGather => comm.all_gather(&mut e, &ins, &outs, count, DataType::F16),
-                }
-                .expect("mscclpp gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "mscclpp");
-                }
-            }
-        }
-        Stack::Nccl => {
-            let comm = {
-                let mut setup = mscclpp::Setup::new(&mut e);
-                ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-            };
-            let choice = ncclsim::tune(
-                match coll {
-                    Coll::AllReduce => bytes,
-                    Coll::AllGather => bytes * world,
-                },
-                target.nodes,
-            );
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => comm.all_reduce(
-                        &mut e,
-                        &ins,
-                        &outs,
-                        count,
-                        DataType::F16,
-                        ReduceOp::Sum,
-                        choice,
-                    ),
-                    Coll::AllGather => {
-                        comm.all_gather(&mut e, &ins, &outs, count, DataType::F16, choice)
-                    }
-                }
-                .expect("nccl gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "nccl");
-                }
-            }
-        }
-        Stack::Msccl => {
-            let comm = {
-                let mut setup = mscclpp::Setup::new(&mut e);
-                msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-            };
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => comm.all_reduce(
-                        &mut e,
-                        &ins,
-                        &outs,
-                        count,
-                        DataType::F16,
-                        ReduceOp::Sum,
-                        None,
-                    ),
-                    Coll::AllGather => {
-                        comm.all_gather(&mut e, &ins, &outs, count, DataType::F16, None)
-                    }
-                }
-                .expect("msccl gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "msccl");
-                }
-            }
-        }
-    }
-    (lat, e.clamped_past_events())
-}
-
-fn verify(
-    e: &sim::Engine<hw::Machine>,
-    coll: Coll,
-    outs: &[hw::BufferId],
-    bytes: usize,
-    world: usize,
-    tag: &str,
-) {
-    match coll {
-        Coll::AllReduce => crate::verify_allreduce(e, outs, bytes, world, tag),
-        Coll::AllGather => crate::verify_allgather(e, outs, bytes, world, tag),
-    }
 }
 
 /// Serializes gate results as the `BENCH_<date>.json` artifact.

@@ -1,26 +1,37 @@
 //! Benchmark harness utilities: verified collective timing across the
 //! three stacks (NCCL, MSCCL, MSCCL++) on any Table-1 environment.
 //!
-//! Every measurement in this crate follows the same discipline:
+//! Every F16 collective measurement in this crate goes through one
+//! runner, [`Measure`]. It names a [`Stack`], a [`Coll`], a [`Target`],
+//! a byte count, the NCCL choice policy and an optional MSCCL++
+//! algorithm, and each launch it makes follows the same discipline:
 //!
-//! 1. build a fresh simulated cluster for the point;
+//! 1. build a fresh simulated cluster and the stack's communicator;
 //! 2. fill the input buffers with deterministic values chosen so FP16
 //!    reductions are exact;
 //! 3. run the collective **and verify the output** (fully up to 16 MB,
 //!    sampled above) — a timing is only reported for a correct result;
 //! 4. report latency (µs) and algorithm bandwidth
-//!    (`message bytes / latency`, the paper's AlgoBW).
+//!    (`message bytes / latency`, the paper's AlgoBW), together with the
+//!    engine that ran it, so callers can read its counters and link
+//!    accounting.
 //!
-//! Baselines are *fine-tuned* per point as in §5.1: NCCL/MSCCL timings
-//! take the best over the stack's tuning candidates.
+//! The NCCL baseline picks its tuner [`ncclsim::Choice`] by one of two
+//! policies ([`NcclPolicy`]). The figures and the observability report
+//! *fine-tune* it per point as in §5.1: one launch per tuning candidate,
+//! each on a fresh engine, and the fastest wins. The perf gate and the
+//! utilization report take NCCL's own size-based tuner,
+//! [`ncclsim::tune`], as a deployment would.
 
 pub mod figures;
 pub mod gate;
 pub mod report;
 pub mod sweep;
 
+use collective::{AllGatherAlgo, AllReduceAlgo, CollComm};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
 use mscclpp::Setup;
+use ncclsim::{Choice, NcclComm, NcclConfig};
 use sim::Engine;
 
 /// Deterministic input element: values 0..7 so that 8-, 16- and 32-rank
@@ -63,6 +74,264 @@ impl Target {
     /// Label like `1n8g`.
     pub fn label(&self) -> String {
         format!("{}n{}g", self.nodes, self.nodes * 8)
+    }
+}
+
+/// Which collective a measurement runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coll {
+    /// AllReduce over the full world.
+    AllReduce,
+    /// AllGather over the full world (`bytes` is the per-rank chunk).
+    AllGather,
+}
+
+/// Which stack runs the collective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stack {
+    /// The NCCL model (ring/tree, choice per [`NcclPolicy`]).
+    Nccl,
+    /// MSCCL over the NCCL transport (its own size-based tuner).
+    Msccl,
+    /// MSCCL++ (default algorithm selection unless overridden).
+    Mscclpp,
+}
+
+impl Stack {
+    /// The three stacks in table-column order.
+    pub const ALL: [Stack; 3] = [Stack::Nccl, Stack::Msccl, Stack::Mscclpp];
+
+    /// Lower-case name used in case names, counters and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stack::Nccl => "nccl",
+            Stack::Msccl => "msccl",
+            Stack::Mscclpp => "mscclpp",
+        }
+    }
+}
+
+/// How the NCCL baseline picks its tuner [`Choice`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NcclPolicy {
+    /// NCCL's own size-based tuner, [`ncclsim::tune`]: one launch.
+    Tuned,
+    /// Fine-tuned per point (§5.1): one launch per tuning candidate, the
+    /// fastest wins. Candidates are filtered by size to keep the set
+    /// tractable, and AllGather only runs the ring.
+    Best,
+}
+
+/// An explicit MSCCL++ algorithm, overriding the default selection. Its
+/// collective must match the measurement's [`Coll`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algo {
+    /// An AllReduce algorithm.
+    AllReduce(AllReduceAlgo),
+    /// An AllGather algorithm.
+    AllGather(AllGatherAlgo),
+}
+
+/// One verified F16 collective measurement: what runs, where, and how the
+/// baselines are tuned. [`Measure::new`] gives the defaults (fine-tuned
+/// NCCL, default MSCCL++ selection, out-of-place buffers).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measure {
+    /// The stack running the collective.
+    pub stack: Stack,
+    /// The collective.
+    pub coll: Coll,
+    /// Environment and node count.
+    pub target: Target,
+    /// Message bytes per rank (the per-rank chunk for AllGather).
+    pub bytes: usize,
+    /// How NCCL picks its choice; ignored by the other stacks.
+    pub nccl: NcclPolicy,
+    /// MSCCL++ algorithm override; ignored by the other stacks.
+    pub algo: Option<Algo>,
+    /// Reduce in place (outputs are the inputs). AllReduce only.
+    pub in_place: bool,
+}
+
+/// One verified launch: its latency and the engine that ran it.
+#[derive(Debug)]
+pub struct Run {
+    /// Message size (the gathered total for AllGather) and latency.
+    pub point: Point,
+    /// The NCCL choice that ran; `None` for the other stacks.
+    pub choice: Option<Choice>,
+    /// The engine, for its counters, link accounting and clamp count.
+    pub engine: Engine<Machine>,
+}
+
+impl Measure {
+    /// A measurement with fine-tuned NCCL, default MSCCL++ selection and
+    /// out-of-place buffers.
+    pub fn new(stack: Stack, coll: Coll, target: Target, bytes: usize) -> Measure {
+        Measure {
+            stack,
+            coll,
+            target,
+            bytes,
+            nccl: NcclPolicy::Best,
+            algo: None,
+            in_place: false,
+        }
+    }
+
+    /// Bytes each rank's output holds (the message size of a [`Point`]).
+    fn out_bytes(&self) -> usize {
+        match self.coll {
+            Coll::AllReduce => self.bytes,
+            Coll::AllGather => self.bytes * self.target.world(),
+        }
+    }
+
+    /// The NCCL choices this measurement launches, in order: one per
+    /// [`NcclPolicy`] candidate. The other stacks launch once, with none.
+    fn choices(&self) -> Vec<Option<Choice>> {
+        let total = self.out_bytes();
+        match (self.stack, self.nccl) {
+            (Stack::Nccl, NcclPolicy::Tuned) => vec![Some(ncclsim::tune(total, self.target.nodes))],
+            (Stack::Nccl, NcclPolicy::Best) => ncclsim::tuning_candidates(self.target.nodes)
+                .into_iter()
+                // The LL protocol is never competitive for very large
+                // messages and costs the most to simulate.
+                .filter(|c| total <= (8 << 20) || c.proto == ncclsim::Proto::Simple)
+                .filter(|c| total >= (64 << 10) || c.channels == 1)
+                .filter(|c| self.coll == Coll::AllReduce || c.algo == ncclsim::Algo::Ring)
+                .map(Some)
+                .collect(),
+            _ => vec![None],
+        }
+    }
+
+    /// One verified launch per choice in [`NcclPolicy`] order, each on a
+    /// fresh engine.
+    fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        self.choices().into_iter().map(|choice| {
+            let mut runner = Runner::new(fresh_engine(self.target), *self, choice);
+            let latency_us = runner.launch();
+            Run {
+                point: Point {
+                    bytes: self.out_bytes(),
+                    latency_us,
+                },
+                choice,
+                engine: runner.engine,
+            }
+        })
+    }
+
+    /// The fastest of the policy's launches (the first on a tie), with
+    /// its engine.
+    pub fn run(&self) -> Run {
+        self.runs()
+            .min_by(|a, b| a.point.latency_us.total_cmp(&b.point.latency_us))
+            .expect("no NCCL tuning candidate")
+    }
+
+    /// The fastest point. Unlike [`Measure::run`] it keeps no engine
+    /// alive while the next candidate runs.
+    pub fn point(&self) -> Point {
+        self.runs()
+            .map(|r| r.point)
+            .min_by(|a, b| a.latency_us.total_cmp(&b.latency_us))
+            .expect("no NCCL tuning candidate")
+    }
+}
+
+/// A stack's communicator, ready to launch a [`Measure`].
+enum Comm {
+    Nccl(NcclComm, Choice),
+    Msccl(msccl::MscclComm),
+    Mscclpp(CollComm),
+}
+
+/// A built measurement: communicator, filled inputs and outputs on one
+/// engine, launched any number of times.
+pub(crate) struct Runner {
+    pub(crate) engine: Engine<Machine>,
+    m: Measure,
+    comm: Comm,
+    ins: Vec<BufferId>,
+    outs: Vec<BufferId>,
+}
+
+impl Runner {
+    /// Builds `m`'s communicator on `engine` (NCCL with `choice`) and
+    /// allocates and fills its buffers.
+    pub(crate) fn new(mut engine: Engine<Machine>, m: Measure, choice: Option<Choice>) -> Runner {
+        assert!(
+            !m.in_place || m.coll == Coll::AllReduce,
+            "only AllReduce runs in place"
+        );
+        let comm = match m.stack {
+            Stack::Nccl => Comm::Nccl(
+                NcclComm::new(&mut Setup::new(&mut engine), NcclConfig::nccl()),
+                choice.expect("an NCCL measurement needs a choice"),
+            ),
+            Stack::Msccl => Comm::Msccl(msccl::MscclComm::new(
+                &mut Setup::new(&mut engine),
+                msccl::MscclConfig::default(),
+            )),
+            Stack::Mscclpp => Comm::Mscclpp(CollComm::new()),
+        };
+        let world = m.target.world();
+        let ins = alloc_filled(&mut engine, world, m.bytes);
+        let outs = if m.in_place {
+            ins.clone()
+        } else {
+            (0..world)
+                .map(|r| engine.world_mut().pool_mut().alloc(Rank(r), m.out_bytes()))
+                .collect()
+        };
+        Runner {
+            engine,
+            m,
+            comm,
+            ins,
+            outs,
+        }
+    }
+
+    /// Launches the collective once, verifies every output and returns
+    /// the latency in µs.
+    ///
+    /// # Panics
+    ///
+    /// On a launch error or a wrong output element.
+    pub(crate) fn launch(&mut self) -> f64 {
+        let Measure { coll, bytes, .. } = self.m;
+        let (e, ins, outs) = (&mut self.engine, &self.ins[..], &self.outs[..]);
+        let (count, f16, sum) = (bytes / 2, DataType::F16, ReduceOp::Sum);
+        let timing = match (&self.comm, coll) {
+            (Comm::Nccl(c, ch), Coll::AllReduce) => {
+                c.all_reduce(e, ins, outs, count, f16, sum, *ch)
+            }
+            (Comm::Nccl(c, ch), Coll::AllGather) => c.all_gather(e, ins, outs, count, f16, *ch),
+            (Comm::Msccl(c), Coll::AllReduce) => c.all_reduce(e, ins, outs, count, f16, sum, None),
+            (Comm::Msccl(c), Coll::AllGather) => c.all_gather(e, ins, outs, count, f16, None),
+            (Comm::Mscclpp(c), _) => match (coll, self.m.algo) {
+                (Coll::AllReduce, None) => c.all_reduce(e, ins, outs, count, f16, sum),
+                (Coll::AllReduce, Some(Algo::AllReduce(a))) => {
+                    c.all_reduce_with(e, ins, outs, count, f16, sum, a)
+                }
+                (Coll::AllGather, None) => c.all_gather(e, ins, outs, count, f16),
+                (Coll::AllGather, Some(Algo::AllGather(a))) => {
+                    c.all_gather_with(e, ins, outs, count, f16, a)
+                }
+                (_, Some(a)) => panic!("{a:?} does not run a {coll:?}"),
+            },
+        };
+        let tag = self.m.stack.name();
+        let timing = timing.unwrap_or_else(|err| panic!("{tag} {coll:?}: {err}"));
+        let world = self.m.target.world();
+        match coll {
+            Coll::AllReduce => verify_allreduce(e, outs, bytes, world, tag),
+            Coll::AllGather => verify_allgather(e, outs, bytes, world, tag),
+        }
+        timing.elapsed().as_us()
     }
 }
 
@@ -129,178 +398,6 @@ fn verify_allgather(
                 );
             }
         }
-    }
-}
-
-/// NCCL AllReduce, fine-tuned: best over the tuner candidates.
-pub fn nccl_allreduce(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut best = f64::MAX;
-    for choice in size_filtered_candidates(t.nodes, bytes) {
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs: Vec<BufferId> = (0..t.world())
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let timing = comm
-            .all_reduce(
-                &mut e,
-                &ins,
-                &outs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                choice,
-            )
-            .expect("nccl allreduce");
-        verify_allreduce(&e, &outs, bytes, t.world(), "nccl");
-        best = best.min(timing.elapsed().as_us());
-    }
-    Point {
-        bytes,
-        latency_us: best,
-    }
-}
-
-/// Keeps the candidate set tractable for very large messages (the LL
-/// protocol is never competitive there and costs the most to simulate).
-fn size_filtered_candidates(nodes: usize, bytes: usize) -> Vec<ncclsim::Choice> {
-    ncclsim::tuning_candidates(nodes)
-        .into_iter()
-        .filter(|c| bytes <= (8 << 20) || c.proto == ncclsim::Proto::Simple)
-        .filter(|c| bytes >= (64 << 10) || c.channels == 1)
-        .collect()
-}
-
-/// MSCCL AllReduce with its internal tuner.
-pub fn msccl_allreduce(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-    };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let timing = comm
-        .all_reduce(
-            &mut e,
-            &ins,
-            &outs,
-            count,
-            DataType::F16,
-            ReduceOp::Sum,
-            None,
-        )
-        .expect("msccl allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "msccl");
-    Point {
-        bytes,
-        latency_us: timing.elapsed().as_us(),
-    }
-}
-
-/// MSCCL++ AllReduce with the default algorithm selection; `algo`
-/// overrides it for ablations.
-pub fn mscclpp_allreduce(
-    t: Target,
-    bytes: usize,
-    algo: Option<collective::AllReduceAlgo>,
-) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let timing = match algo {
-        None => comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum),
-        Some(a) => {
-            comm.all_reduce_with(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum, a)
-        }
-    }
-    .expect("mscclpp allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp");
-    Point {
-        bytes,
-        latency_us: timing.elapsed().as_us(),
-    }
-}
-
-/// NCCL AllGather (ring), fine-tuned. `bytes` is the per-rank chunk.
-pub fn nccl_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut best = f64::MAX;
-    for choice in size_filtered_candidates(t.nodes, bytes * t.world()) {
-        if choice.algo != ncclsim::Algo::Ring {
-            continue;
-        }
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs: Vec<BufferId> = (0..t.world())
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-            .collect();
-        let timing = comm
-            .all_gather(&mut e, &ins, &outs, count, DataType::F16, choice)
-            .expect("nccl allgather");
-        verify_allgather(&e, &outs, bytes, t.world(), "nccl");
-        best = best.min(timing.elapsed().as_us());
-    }
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: best,
-    }
-}
-
-/// MSCCL AllGather (all-pairs / hierarchical over the NCCL transport).
-pub fn msccl_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-    };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-        .collect();
-    let timing = comm
-        .all_gather(&mut e, &ins, &outs, count, DataType::F16, None)
-        .expect("msccl allgather");
-    verify_allgather(&e, &outs, bytes, t.world(), "msccl");
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: timing.elapsed().as_us(),
-    }
-}
-
-/// MSCCL++ AllGather with default selection.
-pub fn mscclpp_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-        .collect();
-    let timing = comm
-        .all_gather(&mut e, &ins, &outs, count, DataType::F16)
-        .expect("mscclpp allgather");
-    verify_allgather(&e, &outs, bytes, t.world(), "mscclpp");
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: timing.elapsed().as_us(),
     }
 }
 
@@ -401,7 +498,7 @@ mod tests {
             env: EnvKind::A100_40G,
             nodes: 1,
         };
-        let p = mscclpp_allreduce(t, 4096, None);
+        let p = Measure::new(Stack::Mscclpp, Coll::AllReduce, t, 4096).point();
         assert!(p.latency_us > 1.0 && p.latency_us < 100.0);
     }
 }

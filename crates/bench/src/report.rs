@@ -7,12 +7,11 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
-use mscclpp::Setup;
+use hw::Machine;
 use sim::json::{self, Fixed, Writer};
 use sim::Engine;
 
-use crate::{alloc_filled, fresh_engine, size_filtered_candidates, verify_allreduce, Target};
+use crate::{fresh_engine, Algo, Coll, Measure, Runner, Stack, Target};
 
 /// One link/engine resource snapshot in a [`StackRun`].
 #[derive(Debug, Clone, PartialEq)]
@@ -106,85 +105,13 @@ pub(crate) fn snapshot(
 /// [`StackRun`] per stack (NCCL uses its best tuning candidate; the
 /// metrics come from that best run's engine).
 pub fn observe_allreduce(t: Target, bytes: usize) -> Vec<StackRun> {
-    vec![
-        observe_nccl_allreduce(t, bytes),
-        observe_msccl_allreduce(t, bytes),
-        observe_mscclpp_allreduce(t, bytes),
-    ]
-}
-
-fn out_bufs(e: &mut Engine<Machine>, world: usize, bytes: usize) -> Vec<BufferId> {
-    (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
+    Stack::ALL
+        .iter()
+        .map(|&stack| {
+            let run = Measure::new(stack, Coll::AllReduce, t, bytes).run();
+            snapshot(stack.name(), bytes, run.point.latency_us, &run.engine)
+        })
         .collect()
-}
-
-fn observe_nccl_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut best: Option<StackRun> = None;
-    for choice in size_filtered_candidates(t.nodes, bytes) {
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs = out_bufs(&mut e, t.world(), bytes);
-        let timing = comm
-            .all_reduce(
-                &mut e,
-                &ins,
-                &outs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                choice,
-            )
-            .expect("nccl allreduce");
-        verify_allreduce(&e, &outs, bytes, t.world(), "nccl");
-        let run = snapshot("nccl", bytes, timing.elapsed().as_us(), &e);
-        if best.as_ref().is_none_or(|b| run.latency_us < b.latency_us) {
-            best = Some(run);
-        }
-    }
-    best.expect("no nccl tuning candidate")
-}
-
-fn observe_msccl_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-    };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = comm
-        .all_reduce(
-            &mut e,
-            &ins,
-            &outs,
-            count,
-            DataType::F16,
-            ReduceOp::Sum,
-            None,
-        )
-        .expect("msccl allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "msccl");
-    snapshot("msccl", bytes, timing.elapsed().as_us(), &e)
-}
-
-fn observe_mscclpp_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = comm
-        .all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-        .expect("mscclpp allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp");
-    snapshot("mscclpp", bytes, timing.elapsed().as_us(), &e)
 }
 
 /// Runs a **verified** MSCCL++ AllReduce under an active fault plan and
@@ -200,21 +127,15 @@ pub fn observe_mscclpp_faulted(
     plan: sim::FaultPlan,
     algo: Option<collective::AllReduceAlgo>,
 ) -> StackRun {
-    let count = bytes / 2;
     let mut e = fresh_engine(t);
     e.set_fault_plan(plan);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = match algo {
-        None => comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum),
-        Some(a) => {
-            comm.all_reduce_with(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum, a)
-        }
-    }
-    .expect("mscclpp allreduce under faults");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp+faults");
-    snapshot("mscclpp", bytes, timing.elapsed().as_us(), &e)
+    let m = Measure {
+        algo: algo.map(Algo::AllReduce),
+        ..Measure::new(Stack::Mscclpp, Coll::AllReduce, t, bytes)
+    };
+    let mut runner = Runner::new(e, m, None);
+    let latency_us = runner.launch();
+    snapshot("mscclpp", bytes, latency_us, &runner.engine)
 }
 
 /// Version stamped into every JSON artifact this crate writes

@@ -38,8 +38,8 @@
 
 #![allow(clippy::needless_range_loop)] // conn grids are indexed by construction
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{run_kernels, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup};
-use ncclsim::{Conn, NcclConfig, Prims, Proto};
+use mscclpp::{Kernel, KernelBuilder, KernelTiming, Result, Setup};
+use ncclsim::{split_range, Conn, Launcher, NcclConfig, Prims, Proto};
 use sim::Engine;
 
 /// MSCCL stack configuration: the NCCL transport constants plus MSCCL's
@@ -75,13 +75,6 @@ pub enum MscclAlgo {
     TwoPhaseHierarchical,
 }
 
-/// Splits `total` into `parts` nearly-equal ranges.
-fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    (idx * base + idx.min(rem), base + usize::from(idx < rem))
-}
-
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
     (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
 }
@@ -97,8 +90,7 @@ pub struct MscclComm {
     /// Cross-node connections among corresponding GPUs:
     /// `cross[tb][local][na][nb]` carries (na, local) → (nb, local).
     cross: Vec<Vec<Vec<Vec<Option<Conn>>>>>,
-    ov: Overheads,
-    verify: std::cell::Cell<bool>,
+    launcher: Launcher,
 }
 
 impl MscclComm {
@@ -107,7 +99,6 @@ impl MscclComm {
     pub fn new(setup: &mut Setup<'_>, cfg: MscclConfig) -> MscclComm {
         let topo = setup.topology();
         let n = topo.world_size();
-        let ov = setup.overheads().clone();
         let mut mesh = Vec::with_capacity(cfg.channels);
         for _ in 0..cfg.channels {
             let mut grid: Vec<Vec<Option<Conn>>> = vec![vec![None; n]; n];
@@ -147,52 +138,13 @@ impl MscclComm {
             topo,
             mesh,
             cross,
-            ov,
-            verify: std::cell::Cell::new(true),
+            launcher: Launcher::new("msccl", n, setup.overheads().clone()),
         }
     }
 
     /// Enables or disables plan verification (on by default).
     pub fn set_verify(&self, on: bool) {
-        self.verify.set(on);
-    }
-
-    /// Runs the static verifier — transport checks plus the semantic
-    /// dataflow pass against `spec` — over the first kernel batch
-    /// launched on this communicator; later launches reuse staging FIFOs
-    /// with banked credits, where fresh-cell happens-before analysis is
-    /// unsound.
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        kernels: &[Kernel],
-        spec: &commverify::CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify.replace(false) {
-            return Ok(());
-        }
-        let checks = commverify::Checks {
-            semantics: true,
-            ..commverify::Checks::transport()
-        };
-        commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
-        Ok(())
-    }
-
-    /// Spec members for a full-world collective: rank `r` contributes
-    /// `inputs[r]` and receives into `outputs[r]`.
-    fn spec_members(
-        &self,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-    ) -> Vec<commverify::SpecMember> {
-        (0..self.topo.world_size())
-            .map(|r| commverify::SpecMember {
-                rank: Rank(r),
-                input: inputs[r],
-                output: outputs[r],
-            })
-            .collect()
+        self.launcher.set_verify(on);
     }
 
     /// MSCCL's size-based algorithm selection (mirrors the MSCCL
@@ -562,11 +514,10 @@ impl MscclComm {
                 self.hierarchical_kernels(inputs, outputs, bytes, dtype, op, proto, nch)
             }
         };
-        mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec =
-            commverify::CollectiveSpec::all_reduce(self.spec_members(inputs, outputs), bytes);
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher
+            .launch(engine, &kernels, inputs, outputs, |m| {
+                commverify::CollectiveSpec::all_reduce(m, bytes)
+            })
     }
 
     /// AllGather over all ranks (`count` elements contributed per rank).
@@ -590,10 +541,9 @@ impl MscclComm {
             (proto, nch)
         });
         let kernels = self.all_gather_kernels(inputs, outputs, bytes, dtype, proto, nch);
-        mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec =
-            commverify::CollectiveSpec::all_gather(self.spec_members(inputs, outputs), bytes);
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher
+            .launch(engine, &kernels, inputs, outputs, |m| {
+                commverify::CollectiveSpec::all_gather(m, bytes)
+            })
     }
 }

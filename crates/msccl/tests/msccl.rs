@@ -40,11 +40,11 @@ fn check_allreduce(
     let outs: Vec<_> = (0..f.n)
         .map(|r| f.engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..f.n {
+    for (r, &buf) in bufs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(buf, DataType::F32, move |i| input_val(r, i));
     }
     let t = f
         .comm
@@ -134,11 +134,11 @@ fn all_gather_correct_single_and_multi_node() {
                     .alloc(Rank(r), count * 4 * f.n)
             })
             .collect();
-        for r in 0..f.n {
+        for (r, &input) in ins.iter().enumerate() {
             f.engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(ins[r], DataType::F32, move |i| input_val(r, i));
+                .fill_with(input, DataType::F32, move |i| input_val(r, i));
         }
         f.comm
             .all_gather(&mut f.engine, &ins, &outs, count, DataType::F32, None)

@@ -222,11 +222,11 @@ mod tests {
         let exe = prog
             .compile(&mut setup, &ins, &outs, Default::default())
             .unwrap();
-        for r in 0..8 {
+        for &input in &ins {
             engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(ins[r], DataType::F32, |_| 1.0);
+                .fill_with(input, DataType::F32, |_| 1.0);
         }
         exe.launch(&mut engine).unwrap();
         assert_eq!(

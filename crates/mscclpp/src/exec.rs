@@ -783,21 +783,6 @@ impl Process<Machine> for TbProc {
     }
 }
 
-/// Launches `kernels` (one per participating rank), runs the simulation to
-/// quiescence, and returns the batch timing.
-///
-/// Kernel launch overhead (from the machine's [`hw::GpuSpec`]) is charged
-/// once per thread block before its first instruction.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Deadlock`] if the kernels synchronize
-/// incorrectly (a `wait` whose `signal` never happens), or
-/// [`crate::Error::Timeout`] if a wait with a deadline (an explicit
-/// `port_flush_deadline`, or any wait under an active fault plan's
-/// watchdog) expires first. On either error the engine is aborted —
-/// outstanding waits are torn down but the clock, buffers and metrics
-/// survive, so the caller can re-plan and launch again.
 /// Records the *emitted* instruction mix of a kernel batch under
 /// stack-prefixed counters (`{stack}.{mnemonic}`), so per-stack primitive
 /// usage can be compared even though every stack executes through the same
@@ -818,6 +803,21 @@ pub fn record_launch_mix(engine: &mut Engine<Machine>, stack: &str, kernels: &[K
     }
 }
 
+/// Launches `kernels` (one per participating rank), runs the simulation to
+/// quiescence, and returns the batch timing.
+///
+/// Kernel launch overhead (from the machine's [`hw::GpuSpec`]) is charged
+/// once per thread block before its first instruction.
+///
+/// # Errors
+///
+/// Returns [`crate::Error::Deadlock`] if the kernels synchronize
+/// incorrectly (a `wait` whose `signal` never happens), or
+/// [`crate::Error::Timeout`] if a wait with a deadline (an explicit
+/// `port_flush_deadline`, or any wait under an active fault plan's
+/// watchdog) expires first. On either error the engine is aborted —
+/// outstanding waits are torn down but the clock, buffers and metrics
+/// survive, so the caller can re-plan and launch again.
 pub fn run_kernels(
     engine: &mut Engine<Machine>,
     kernels: &[Kernel],

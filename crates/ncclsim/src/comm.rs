@@ -2,11 +2,12 @@
 //! (ring and tree), mirroring the architecture of §2.2.1.
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{run_kernels, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup};
+use mscclpp::{Kernel, KernelBuilder, KernelTiming, Result, Setup};
 use sim::Engine;
 
 use crate::config::{Algo, Choice, NcclConfig, Proto};
 use crate::conn::Conn;
+use crate::launch::{split_range, Launcher};
 use crate::prims::Prims;
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -15,16 +16,6 @@ fn gcd(a: usize, b: usize) -> usize {
     } else {
         gcd(b, a % b)
     }
-}
-
-/// Splits `total` into `parts` nearly-equal ranges; returns the
-/// `(start, len)` of range `idx`.
-pub(crate) fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    let start = idx * base + idx.min(rem);
-    let len = base + usize::from(idx < rem);
-    (start, len)
 }
 
 /// Per-channel connection sets.
@@ -61,8 +52,7 @@ pub struct NcclComm {
     cfg: NcclConfig,
     topo: Topology,
     channels: Vec<Channel>,
-    ov: Overheads,
-    verify: std::cell::Cell<bool>,
+    launcher: Launcher,
 }
 
 /// Parent of `rank` in the node-aware tree for a channel whose local
@@ -105,7 +95,6 @@ impl NcclComm {
     pub fn new(setup: &mut Setup<'_>, cfg: NcclConfig) -> NcclComm {
         let topo = setup.topology();
         let n = topo.world_size();
-        let ov = setup.overheads().clone();
         let g = topo.gpus_per_node();
         let mut channels = Vec::with_capacity(cfg.max_channels);
         for c in 0..cfg.max_channels {
@@ -161,8 +150,7 @@ impl NcclComm {
             cfg,
             topo,
             channels,
-            ov,
-            verify: std::cell::Cell::new(true),
+            launcher: Launcher::new("nccl", n, setup.overheads().clone()),
         }
     }
 
@@ -173,42 +161,7 @@ impl NcclComm {
 
     /// Enables or disables plan verification (on by default).
     pub fn set_verify(&self, on: bool) {
-        self.verify.set(on);
-    }
-
-    /// Runs the static verifier — transport checks plus the semantic
-    /// dataflow pass against `spec` — over the first kernel batch
-    /// launched on this communicator. Later launches reuse the staging
-    /// FIFOs with banked credits (each launch leaves `slots` spare
-    /// credits per connection), so fresh-cell happens-before analysis is
-    /// only sound for the first one.
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        kernels: &[Kernel],
-        spec: &commverify::CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify.replace(false) {
-            return Ok(());
-        }
-        let checks = commverify::Checks {
-            semantics: true,
-            ..commverify::Checks::transport()
-        };
-        commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
-        Ok(())
-    }
-
-    /// Spec members for a full-world collective: rank `r` contributes
-    /// `input[r]` and receives into `output[r]`.
-    fn spec_members(&self, input: &[BufferId], output: &[BufferId]) -> Vec<commverify::SpecMember> {
-        (0..self.topo.world_size())
-            .map(|r| commverify::SpecMember {
-                rank: Rank(r),
-                input: input[r],
-                output: output[r],
-            })
-            .collect()
+        self.launcher.set_verify(on);
     }
 
     /// Compiles ring-AllReduce kernels (Figure 1's ReduceScatter followed
@@ -577,13 +530,9 @@ impl NcclComm {
             Algo::Ring => self.ring_all_reduce(input, output, count, dtype, op, choice.proto, nch),
             Algo::Tree => self.tree_all_reduce(input, output, count, dtype, op, choice.proto, nch),
         };
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_reduce(
-            self.spec_members(input, output),
-            count * dtype.size(),
-        );
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher.launch(engine, &kernels, input, output, |m| {
+            commverify::CollectiveSpec::all_reduce(m, count * dtype.size())
+        })
     }
 
     /// AllGather with an explicit tuner [`Choice`] (always ring).
@@ -603,13 +552,9 @@ impl NcclComm {
     ) -> Result<KernelTiming> {
         let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = self.ring_all_gather(input, output, count, dtype, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_gather(
-            self.spec_members(input, output),
-            count * dtype.size(),
-        );
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher.launch(engine, &kernels, input, output, |m| {
+            commverify::CollectiveSpec::all_gather(m, count * dtype.size())
+        })
     }
 
     /// ReduceScatter with an explicit tuner [`Choice`] (always ring).
@@ -630,16 +575,12 @@ impl NcclComm {
     ) -> Result<KernelTiming> {
         let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = self.ring_reduce_scatter(input, output, count, dtype, op, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
         let n = self.topo.world_size();
         let shard = count * dtype.size();
-        let spec = commverify::CollectiveSpec::reduce_scatter(
-            self.spec_members(input, output),
-            n * shard,
-            (0..n).map(|i| (i * shard, shard)).collect(),
-        );
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher.launch(engine, &kernels, input, output, |m| {
+            let shards = (0..n).map(|i| (i * shard, shard)).collect();
+            commverify::CollectiveSpec::reduce_scatter(m, n * shard, shards)
+        })
     }
 
     /// Broadcast from `root` with an explicit tuner [`Choice`].
@@ -660,14 +601,9 @@ impl NcclComm {
     ) -> Result<KernelTiming> {
         let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = self.ring_broadcast(input, output, count, dtype, root, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::broadcast(
-            self.spec_members(input, output),
-            count * dtype.size(),
-            root.0,
-        );
-        self.maybe_verify(engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.launcher.launch(engine, &kernels, input, output, |m| {
+            commverify::CollectiveSpec::broadcast(m, count * dtype.size(), root.0)
+        })
     }
 }
 

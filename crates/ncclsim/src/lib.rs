@@ -51,9 +51,11 @@
 mod comm;
 mod config;
 mod conn;
+mod launch;
 mod prims;
 
 pub use comm::NcclComm;
 pub use config::{tune, tuning_candidates, Algo, Choice, NcclConfig, Proto};
 pub use conn::Conn;
+pub use launch::{split_range, Launcher};
 pub use prims::Prims;

@@ -48,11 +48,11 @@ fn check_all_reduce(kind: EnvKind, nodes: usize, count: usize, ch: Choice) {
         let mut setup = Setup::new(&mut f.engine);
         setup.alloc_all(count * 4)
     };
-    for r in 0..f.n {
+    for (r, &input) in inputs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     let t = f
         .comm
@@ -66,12 +66,8 @@ fn check_all_reduce(kind: EnvKind, nodes: usize, count: usize, ch: Choice) {
             ch,
         )
         .unwrap();
-    for r in 0..f.n {
-        let got = f
-            .engine
-            .world()
-            .pool()
-            .to_f32_vec(outputs[r], DataType::F32);
+    for (r, &output) in outputs.iter().enumerate() {
+        let got = f.engine.world().pool().to_f32_vec(output, DataType::F32);
         for i in [0, 1, count / 2, count - 1] {
             assert_eq!(
                 got[i],
@@ -167,11 +163,11 @@ fn allreduce_in_place() {
         let mut setup = Setup::new(&mut f.engine);
         setup.alloc_all(count * 4)
     };
-    for r in 0..f.n {
+    for (r, &buf) in bufs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(buf, DataType::F32, move |i| input_val(r, i));
     }
     f.comm
         .all_reduce(
@@ -184,8 +180,8 @@ fn allreduce_in_place() {
             choice(Algo::Ring, Proto::Simple, 1),
         )
         .unwrap();
-    for r in 0..f.n {
-        let got = f.engine.world().pool().to_f32_vec(bufs[r], DataType::F32);
+    for (r, &buf) in bufs.iter().enumerate() {
+        let got = f.engine.world().pool().to_f32_vec(buf, DataType::F32);
         assert_eq!(got[7], expected_sum(f.n, 7), "rank {r}");
     }
 }
@@ -198,11 +194,11 @@ fn all_gather_correct() {
         let mut setup = Setup::new(&mut f.engine);
         (setup.alloc_all(count * 4), setup.alloc_all(count * 4 * f.n))
     };
-    for r in 0..f.n {
+    for (r, &input) in inputs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     f.comm
         .all_gather(
@@ -214,12 +210,8 @@ fn all_gather_correct() {
             choice(Algo::Ring, Proto::Simple, 2),
         )
         .unwrap();
-    for r in 0..f.n {
-        let got = f
-            .engine
-            .world()
-            .pool()
-            .to_f32_vec(outputs[r], DataType::F32);
+    for (r, &output) in outputs.iter().enumerate() {
+        let got = f.engine.world().pool().to_f32_vec(output, DataType::F32);
         for src in 0..f.n {
             for i in [0, count - 1] {
                 assert_eq!(
@@ -240,11 +232,11 @@ fn all_gather_two_nodes_ll() {
         let mut setup = Setup::new(&mut f.engine);
         (setup.alloc_all(count * 4), setup.alloc_all(count * 4 * f.n))
     };
-    for r in 0..f.n {
+    for (r, &input) in inputs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     f.comm
         .all_gather(
@@ -274,11 +266,11 @@ fn reduce_scatter_correct() {
         let mut setup = Setup::new(&mut f.engine);
         (setup.alloc_all(count * 4 * f.n), setup.alloc_all(count * 4))
     };
-    for r in 0..f.n {
+    for (r, &input) in inputs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     f.comm
         .reduce_scatter(
@@ -291,12 +283,8 @@ fn reduce_scatter_correct() {
             choice(Algo::Ring, Proto::Simple, 1),
         )
         .unwrap();
-    for r in 0..f.n {
-        let got = f
-            .engine
-            .world()
-            .pool()
-            .to_f32_vec(outputs[r], DataType::F32);
+    for (r, &output) in outputs.iter().enumerate() {
+        let got = f.engine.world().pool().to_f32_vec(output, DataType::F32);
         for i in [0, count - 1] {
             let global = r * count + i;
             let want: f32 = (0..f.n).map(|src| input_val(src, global)).sum();
@@ -329,12 +317,8 @@ fn broadcast_correct_from_nonzero_root() {
             choice(Algo::Ring, Proto::LL, 1),
         )
         .unwrap();
-    for r in 0..f.n {
-        let got = f
-            .engine
-            .world()
-            .pool()
-            .to_f32_vec(outputs[r], DataType::F32);
+    for (r, &output) in outputs.iter().enumerate() {
+        let got = f.engine.world().pool().to_f32_vec(output, DataType::F32);
         assert_eq!(got[100], 50.0, "rank {r}");
         assert_eq!(got[count - 1], (count - 1) as f32 * 0.5, "rank {r}");
     }
@@ -348,11 +332,11 @@ fn f16_allreduce_is_close() {
         let mut setup = Setup::new(&mut f.engine);
         setup.alloc_all(count * 2)
     };
-    for r in 0..f.n {
+    for (r, &buf) in bufs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F16, move |i| ((r + i) % 8) as f32);
+            .fill_with(buf, DataType::F16, move |i| ((r + i) % 8) as f32);
     }
     f.comm
         .all_reduce(

@@ -19,10 +19,10 @@ fn main() {
         let bufs = s.alloc_all(bytes);
         let mut best_nccl = f64::MAX;
         for c in ncclsim::tuning_candidates(1) {
-            for r in 0..8 {
+            for &buf in &bufs {
                 e.world_mut()
                     .pool_mut()
-                    .fill_with(bufs[r], DataType::F32, |_| 1.0);
+                    .fill_with(buf, DataType::F32, |_| 1.0);
             }
             let t = nccl
                 .all_reduce(&mut e, &bufs, &bufs, count, DataType::F32, ReduceOp::Sum, c)

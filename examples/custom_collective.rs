@@ -50,16 +50,14 @@ impl CustomAllReduce for MyAllReduce {
             .map(|g| {
                 let mut k = KernelBuilder::new(Rank(g));
                 let mut tb = k.block(0);
-                for p in 0..n {
-                    if p != g {
-                        // My whole input lands in peer p's slot g.
-                        tb.put(chans[g][p].as_ref().unwrap(), g * bytes, 0, bytes);
-                    }
+                // My whole input lands in every peer's slot g.
+                for ch in chans[g].iter().flatten() {
+                    tb.put(ch, g * bytes, 0, bytes);
                 }
                 tb.copy(inputs[g], 0, outputs[g], 0, bytes);
-                for p in 0..n {
-                    if p != g {
-                        tb.wait_data(chans[g][p].as_ref().unwrap());
+                for (p, ch) in chans[g].iter().enumerate() {
+                    if let Some(ch) = ch {
+                        tb.wait_data(ch);
                         tb.reduce(scratch[g], p * bytes, outputs[g], 0, bytes, dtype, op);
                     }
                 }
@@ -80,11 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outputs: Vec<_> = (0..8)
         .map(|r| engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..8 {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| (r * 100 + i) as f32);
+            .fill_with(input, DataType::F32, move |i| (r * 100 + i) as f32);
     }
 
     // Plug the custom kernel into the NCCL-compatible communicator.

@@ -67,11 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
-    for r in 0..8 {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| ((r + i) % 5) as f32);
+            .fill_with(input, DataType::F32, move |i| ((r + i) % 5) as f32);
     }
     let t = exe.launch(&mut engine)?;
     let got = engine.world().pool().to_f32_vec(outputs[0], DataType::F32);
@@ -95,11 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
-    for r in 0..8 {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| ((r + i) % 4) as f32);
+            .fill_with(input, DataType::F32, move |i| ((r + i) % 4) as f32);
     }
     let t = exe.launch(&mut engine)?;
     let got = engine.world().pool().to_f32_vec(outputs[7], DataType::F32);

@@ -20,7 +20,10 @@ impl Rng {
     }
 }
 
-fn chunk(rng: &mut Rng, writable: bool) -> (usize, Buf, usize) {
+/// A chunk reference: `(rank, buffer, chunk index)`.
+type ChunkRef = (usize, Buf, usize);
+
+fn chunk(rng: &mut Rng, writable: bool) -> ChunkRef {
     let bufs = if writable {
         vec![Buf::Output, Buf::Scratch]
     } else {
@@ -39,7 +42,7 @@ fn main() {
     for case in 0..total {
         let mut rng = Rng(case as u64);
         let n_ops = 1 + rng.below(19);
-        let ops: Vec<(bool, (usize, Buf, usize), (usize, Buf, usize))> = (0..n_ops)
+        let ops: Vec<(bool, ChunkRef, ChunkRef)> = (0..n_ops)
             .map(|_| {
                 let is_copy = rng.next() & 1 == 1;
                 (is_copy, chunk(&mut rng, false), chunk(&mut rng, true))
@@ -78,11 +81,11 @@ fn main() {
             continue;
         };
         let val = move |r: usize, i: usize| ((seed as usize + r * 5 + i) % 9) as f32;
-        for r in 0..world {
+        for (r, &input) in inputs.iter().enumerate() {
             engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(inputs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(input, DataType::F32, move |i| val(r, i));
         }
         if let Err(e) = exe.launch(&mut engine) {
             launch_fail += 1;

@@ -21,10 +21,10 @@ fn tiny_collectives_work() {
         let bufs: Vec<_> = (0..8)
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
             .collect();
-        for r in 0..8 {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| (r + i) as f32);
+                .fill_with(buf, DataType::F32, move |i| (r + i) as f32);
         }
         let comm = CollComm::new();
         comm.all_reduce(&mut e, &bufs, &bufs, count, DataType::F32, ReduceOp::Sum)
@@ -214,10 +214,10 @@ fn bf16_collectives_work() {
     let bufs: Vec<_> = (0..8)
         .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 2))
         .collect();
-    for r in 0..8 {
+    for (r, &buf) in bufs.iter().enumerate() {
         e.world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::BF16, move |i| ((r + i) % 4) as f32);
+            .fill_with(buf, DataType::BF16, move |i| ((r + i) % 4) as f32);
     }
     let comm = CollComm::new();
     comm.all_reduce(&mut e, &bufs, &bufs, count, DataType::BF16, ReduceOp::Sum)
@@ -252,10 +252,10 @@ fn custom_pcie_environment_is_supported_by_the_same_api() {
     let bufs: Vec<_> = (0..8)
         .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..8 {
+    for (r, &buf) in bufs.iter().enumerate() {
         e.world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| ((r * i) % 5) as f32);
+            .fill_with(buf, DataType::F32, move |i| ((r * i) % 5) as f32);
     }
     let comm = CollComm::new();
     let t = comm
