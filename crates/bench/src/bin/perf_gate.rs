@@ -1,107 +1,68 @@
-//! Perf-regression gate: runs the pinned suite (see `bench::gate`),
-//! writes `BENCH_<date>.json` into the results directory, and compares
-//! medians against the committed baseline. A case whose engine clamped
-//! a past-time event fails by name, after the artifact is written.
+//! Perf-regression gate: runs the pinned suite (see `bench::gate`) in
+//! order, writes `BENCH_<date>.json` into the results directory, and
+//! compares every case against the committed baseline: virtual-time
+//! cases exactly (schedule digest and every number as written), host
+//! wall-clock cases by digest and a median within `gate::WALL_TOL`. A
+//! case that fails on its own (an engine clamped a past-time event, or
+//! observability went over its overhead budget) fails by name, after
+//! the artifact is written.
 //!
 //! Usage:
 //!   perf_gate                  run suite, compare vs baseline, exit 1 on
-//!                              regression
+//!                              any change or failure
 //!   perf_gate --write-baseline run suite and (re)write BENCH_baseline.json
 //!
 //! Environment:
 //!   RESULTS_DIR         output directory (default `results`)
-//!   PERF_GATE_TOL       fractional tolerance band on p50 (default 0.10)
-//!   PERF_GATE_WALL_TOL  tolerance for wall-clock `engine/` cases
-//!                       (default 0.60 — CI runners are noisy)
-//!   PERF_GATE_ITERS     iterations per collective case (default 3)
-//!   PERF_GATE_THREADS   worker threads for simulated-latency cases
-//!                       (default 1; wall-clock cases always run serial,
-//!                       alone on the machine, after the others)
 //!   BENCH_DATE          override the date stamp (e.g. `2026-08-06`)
 
 use bench::gate::{self, Verdict};
 use bench::report::results_dir;
-use bench::sweep;
 
 fn main() {
     let write_baseline = std::env::args().any(|a| a == "--write-baseline");
-    let tol: f64 = std::env::var("PERF_GATE_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
-    let wall_tol: f64 = std::env::var("PERF_GATE_WALL_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(gate::DEFAULT_WALL_TOL);
-    let iters: usize = std::env::var("PERF_GATE_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    let threads = sweep::threads_from_env("PERF_GATE_THREADS");
-
     let suite = gate::pinned_suite();
     println!(
-        "perf_gate: {} cases, {iters} iters each, tol {:.0}% (wall {:.0}%), {threads} thread(s)",
+        "perf_gate: {} cases, {} iters each, virtual cases exact, wall {:.0}% band",
         suite.len(),
-        tol * 100.0,
-        wall_tol * 100.0
+        gate::ITERS,
+        gate::WALL_TOL * 100.0
     );
-    // Simulated-latency cases are deterministic, so they can fan out
-    // across threads; wall-clock (engine-throughput) cases run serially
-    // afterwards so nothing competes with them for the machine. Results
-    // are re-emitted in pinned-suite order either way.
-    let (sim_cases, wall_cases): (Vec<&gate::Case>, Vec<&gate::Case>) =
-        suite.iter().partition(|c| !c.is_wall_clock());
-    let mut results: Vec<gate::CaseResult> =
-        sweep::parallel_map(&sim_cases, threads, |case| gate::run_case(case, iters));
-    for case in &wall_cases {
-        results.push(gate::run_case(case, iters));
-    }
+    let results: Vec<gate::CaseResult> = suite.iter().map(gate::run_case).collect();
     for r in &results {
-        if r.name.starts_with("serving-observability/") {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {:>8.2}% overhead",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.eps
-            );
+        let aux = if r.name.starts_with("serving-observability/") {
+            format!("{:>8.2}% overhead", r.eps)
         } else if r.eps > 0.0 {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {:>10.0} ev/s",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.eps
-            );
+            format!("{:>10.0} ev/s", r.eps)
         } else {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  max {:>10.1}us",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.max_us
-            );
-        }
+            format!("max {:>10.1}us", r.max_us)
+        };
+        println!(
+            "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {aux}  0x{:016x}",
+            r.name, r.p50_us, r.p95_us, r.p99_us, r.digest
+        );
     }
 
     let date = std::env::var("BENCH_DATE").unwrap_or_else(|_| today_utc());
-    let json = gate::results_to_json(&date, iters, &results);
+    let json = gate::results_to_json(&date, &results);
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let artifact = dir.join(format!("BENCH_{date}.json"));
     std::fs::write(&artifact, &json).expect("write artifact");
     println!("wrote {}", artifact.display());
 
-    // An engine that clamped a past-time event reordered its schedule
-    // behind the clock: that case fails whatever its timing says.
-    let mut clamped = 0usize;
-    for r in results.iter().filter(|r| r.clamped_past_events > 0) {
-        clamped += 1;
-        println!(
-            "  CLAMPED     {}: {} event(s) scheduled in the past",
-            r.name, r.clamped_past_events
-        );
+    let mut failed = 0usize;
+    for r in &results {
+        for why in &r.failures {
+            failed += 1;
+            println!("  FAIL        {}: {why}", r.name);
+        }
     }
 
     let baseline_path = dir.join("BENCH_baseline.json");
     if write_baseline {
-        if clamped > 0 {
-            println!(
-                "perf_gate: FAIL ({clamped} case(s) clamped past events; baseline not written)"
-            );
+        if failed > 0 {
+            println!("perf_gate: FAIL ({failed} case failure(s); baseline not written)");
             std::process::exit(1);
         }
         std::fs::write(&baseline_path, &json).expect("write baseline");
@@ -118,8 +79,8 @@ fn main() {
                 "no baseline at {}; run with --write-baseline to create one",
                 baseline_path.display()
             );
-            if clamped > 0 {
-                println!("perf_gate: FAIL ({clamped} case(s) clamped past events)");
+            if failed > 0 {
+                println!("perf_gate: FAIL ({failed} case failure(s))");
                 std::process::exit(1);
             }
             return;
@@ -135,8 +96,7 @@ fn main() {
         std::process::exit(1)
     });
 
-    let mut regressions = 0usize;
-    for (name, verdict) in gate::compare_with(&results, &baseline, tol, wall_tol) {
+    for (name, verdict) in gate::compare(&results, &baseline) {
         match verdict {
             Verdict::Ok => {}
             Verdict::New => println!("  NEW         {name} (no baseline entry)"),
@@ -150,19 +110,23 @@ fn main() {
                 base_p50_us,
                 new_p50_us,
             } => {
-                regressions += 1;
+                failed += 1;
                 println!("  REGRESSION  {name}: p50 {base_p50_us:.1}us -> {new_p50_us:.1}us");
+            }
+            Verdict::Changed { field, base, new } => {
+                failed += 1;
+                println!("  CHANGED     {name}: {field} {base} -> {new}");
             }
         }
     }
-    if regressions > 0 || clamped > 0 {
-        println!(
-            "perf_gate: FAIL ({regressions} regression(s) beyond {:.0}% tolerance, {clamped} case(s) clamped past events)",
-            tol * 100.0
-        );
+    if failed > 0 {
+        println!("perf_gate: FAIL ({failed} change(s), regression(s) or case failure(s))");
         std::process::exit(1);
     }
-    println!("perf_gate: PASS ({} cases within tolerance)", results.len());
+    println!(
+        "perf_gate: PASS ({} cases match the baseline)",
+        results.len()
+    );
 }
 
 /// Civil UTC date from the system clock (no date/time dependency in the

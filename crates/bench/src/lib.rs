@@ -26,7 +26,6 @@
 pub mod figures;
 pub mod gate;
 pub mod report;
-pub mod sweep;
 
 use collective::{AllGatherAlgo, AllReduceAlgo, CollComm};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};

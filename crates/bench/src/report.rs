@@ -139,8 +139,9 @@ pub fn observe_mscclpp_faulted(
 }
 
 /// Version stamped into every JSON artifact this crate writes
-/// (`"schema_version"`). Bump when a field is added, removed, or changes
-/// meaning, and add a row to `results/README.md`.
+/// (`"schema_version"`) except the perf gate's, which carries
+/// [`crate::gate::SCHEMA_VERSION`]. Bump when a field is added, removed,
+/// or changes meaning, and add a row to `results/README.md`.
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// Opens an artifact document with its `title` and `schema_version`;

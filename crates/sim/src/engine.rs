@@ -73,61 +73,30 @@ enum EventKind {
     TimeoutCheck(ProcId, u32, u64),
 }
 
+impl EventKind {
+    /// The variant's tag in [`Engine::schedule_digest`]. Payloads stay
+    /// out: a `ProcId` is a slot index, and slot recycling renumbers
+    /// those between observed and unobserved runs.
+    fn tag(self) -> u64 {
+        match self {
+            EventKind::Wake(..) => 0,
+            EventKind::CellAdd(..) => 1,
+            EventKind::TimeoutCheck(..) => 2,
+        }
+    }
+}
+
 /// A queued event: raw-picosecond time, global sequence, payload.
 type Ev = Entry<EventKind>;
 
-/// The pending-event store. The calendar queue is the production path;
-/// the legacy binary heap is kept only behind the `ab-legacy-queue`
-/// feature so differential tests can replay identical programs through
-/// both and assert bit-identical results.
-enum EventQueue {
-    Calendar(CalendarQueue<EventKind>),
-    #[cfg(feature = "ab-legacy-queue")]
-    Legacy(std::collections::BinaryHeap<std::cmp::Reverse<LegacyEv>>),
-}
+/// [`Engine::schedule_digest`] of an engine that has popped nothing.
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-#[cfg(feature = "ab-legacy-queue")]
-#[derive(PartialEq, Eq)]
-struct LegacyEv(Ev);
-
-#[cfg(feature = "ab-legacy-queue")]
-impl Ord for LegacyEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.time, self.0.seq).cmp(&(other.0.time, other.0.seq))
-    }
-}
-
-#[cfg(feature = "ab-legacy-queue")]
-impl PartialOrd for LegacyEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl EventQueue {
-    fn push(&mut self, ev: Ev) {
-        match self {
-            EventQueue::Calendar(q) => q.push(ev),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.push(std::cmp::Reverse(LegacyEv(ev))),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Ev> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.pop().map(|std::cmp::Reverse(LegacyEv(e))| e),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Calendar(q) => q.clear(),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.clear(),
-        }
-    }
+/// Folds one word into a schedule digest: rotate, xor, multiply by an
+/// odd constant (the FxHash step). The rotation feeds high bits back
+/// into low ones, so every bit depends on the order of the words.
+fn fold(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,12 +201,14 @@ impl WaiterArena {
 struct Core {
     now: Time,
     seq: u64,
-    queue: EventQueue,
+    queue: CalendarQueue<EventKind>,
     cells: Vec<CellSlot>,
     waiters: WaiterArena,
     /// Per-resource busy-until horizon.
     resources: Vec<Time>,
     events_processed: u64,
+    /// See [`Engine::schedule_digest`].
+    digest: u64,
     /// Events whose requested time was in the past and got clamped to
     /// `now` (see [`Core::push`]).
     clamped_past: u64,
@@ -695,6 +666,8 @@ impl From<TimeoutError> for SimError {
 /// Determinism: events are ordered by `(time, insertion sequence)`; no
 /// wall-clock time or hash-iteration order influences scheduling, so a
 /// given program always produces identical timings and world state.
+/// [`Engine::schedule_digest`] checks it: two runs of one program
+/// give the same digest.
 pub struct Engine<W> {
     core: Core,
     world: W,
@@ -724,7 +697,8 @@ impl<W> Engine<W> {
             core: Core {
                 now: Time::ZERO,
                 seq: 0,
-                queue: EventQueue::Calendar(CalendarQueue::default()),
+                queue: CalendarQueue::default(),
+                digest: DIGEST_SEED,
                 cells: Vec::new(),
                 waiters: WaiterArena::default(),
                 resources: Vec::new(),
@@ -741,19 +715,6 @@ impl<W> Engine<W> {
             processes: Vec::new(),
             free_slots: Vec::new(),
         }
-    }
-
-    /// Replays all pending events through the legacy `BinaryHeap` queue
-    /// instead of the calendar queue. Exists solely so differential tests
-    /// can assert the two scheduler implementations produce bit-identical
-    /// executions; never use it for real workloads.
-    #[cfg(feature = "ab-legacy-queue")]
-    pub fn use_legacy_binary_heap_queue(&mut self) {
-        let mut heap = std::collections::BinaryHeap::new();
-        while let Some(ev) = self.core.queue.pop() {
-            heap.push(std::cmp::Reverse(LegacyEv(ev)));
-        }
-        self.core.queue = EventQueue::Legacy(heap);
     }
 
     /// Starts recording an execution [`Trace`] (paired begin/end events
@@ -975,6 +936,17 @@ impl<W> Engine<W> {
         self.core.events_processed
     }
 
+    /// A digest of the schedule run so far: every popped event's virtual
+    /// time, insertion sequence and kind (wake, cell update, timeout
+    /// check), in pop order, stale wakes and stale timeout checks
+    /// included. Equal digests mean, up to a 64-bit hash collision, that
+    /// the same events ran in the same order at the same instants. Slot indices are left out, so a
+    /// traced or profiled run (no slot recycling) digests the same as a
+    /// bare one.
+    pub fn schedule_digest(&self) -> u64 {
+        self.core.digest
+    }
+
     /// How many event pushes requested a past instant and were clamped to
     /// the then-current time. Normally zero; a nonzero value flags a cost
     /// model or process emitting events behind the clock.
@@ -1121,6 +1093,9 @@ impl<W> Engine<W> {
         let mut spawned: Vec<(Box<dyn Process<W>>, bool)> = Vec::new();
         while let Some(ev) = self.core.queue.pop() {
             debug_assert!(ev.time >= self.core.now.as_ps(), "time went backwards");
+            // `seq` counts pushes, far below 2^62: the tag fits beside it.
+            let word = ev.seq << 2 | ev.payload.tag();
+            self.core.digest = fold(fold(self.core.digest, ev.time), word);
             if let EventKind::TimeoutCheck(pid, gen, epoch) = ev.payload {
                 let slot = &self.processes[pid.0];
                 let fired = slot.gen == gen
@@ -2216,5 +2191,108 @@ mod tests {
         let trace = e.take_trace().unwrap();
         // 100 traced spawns of the same shape intern exactly one label.
         assert_eq!(trace.labels, vec!["worker tb".to_owned()]);
+    }
+
+    /// A fan-out program: each of three rounds spawns four children that
+    /// wait, with a deadline, on the round's cell, which is released 10 ns
+    /// later. Children finish every round, so a bare run recycles their
+    /// slots, and every deadline check pops stale.
+    fn fan_out(observed: bool) -> Engine<u64> {
+        let mut e = Engine::new(0u64);
+        if observed {
+            e.enable_tracing();
+            e.enable_profiling();
+        }
+        let mut round = 0u64;
+        e.spawn(move |ctx: &mut Ctx<'_, u64>| {
+            if round == 3 {
+                return Step::Done;
+            }
+            round += 1;
+            let cell = ctx.alloc_cell();
+            for i in 0..4u64 {
+                let mut waited = false;
+                ctx.spawn(move |ctx: &mut Ctx<'_, u64>| {
+                    if waited {
+                        *ctx.world += i;
+                        return Step::Done;
+                    }
+                    waited = true;
+                    Step::WaitCellTimeout {
+                        cell,
+                        at_least: 1,
+                        timeout: Duration::from_us(1.0),
+                    }
+                });
+            }
+            ctx.cell_add_at(cell, 1, ctx.now() + Duration::from_ns(10.0));
+            Step::Yield(Duration::from_ns(20.0))
+        });
+        e.run().unwrap();
+        e
+    }
+
+    /// A waiter on a cell, a sleeper and a signal whose update lands at
+    /// the sleeper's wake instant; `wake_first` picks which of the two
+    /// same-instant events was queued first.
+    fn release_order(wake_first: bool) -> Engine<()> {
+        let mut e = Engine::new(());
+        let cell = e.alloc_cell();
+        let mut waited = false;
+        e.spawn(move |_: &mut Ctx<'_, ()>| {
+            if waited {
+                return Step::Done;
+            }
+            waited = true;
+            Step::WaitCell { cell, at_least: 1 }
+        });
+        let mut slept = false;
+        let sleeper = move |_: &mut Ctx<'_, ()>| {
+            if slept {
+                return Step::Done;
+            }
+            slept = true;
+            Step::Yield(Duration::from_ns(10.0))
+        };
+        let signal = move |ctx: &mut Ctx<'_, ()>| {
+            ctx.cell_add_at(cell, 1, ctx.now() + Duration::from_ns(10.0));
+            Step::Done
+        };
+        if wake_first {
+            e.spawn(sleeper);
+            e.spawn(signal);
+        } else {
+            e.spawn(signal);
+            e.spawn(sleeper);
+        }
+        e.run().unwrap();
+        e
+    }
+
+    #[test]
+    fn schedule_digest_is_reproducible_and_order_sensitive() {
+        let (a, b) = (fan_out(false), fan_out(false));
+        assert_eq!(a.schedule_digest(), b.schedule_digest());
+        assert_ne!(a.schedule_digest(), DIGEST_SEED);
+        assert_eq!(Engine::new(()).schedule_digest(), DIGEST_SEED);
+
+        // Same events, same instants, other same-instant order.
+        let (x, y) = (release_order(true), release_order(false));
+        assert_eq!(x.events_processed(), y.events_processed());
+        assert_eq!(x.now(), y.now());
+        assert_ne!(x.schedule_digest(), y.schedule_digest());
+    }
+
+    #[test]
+    fn schedule_digest_ignores_observation() {
+        let bare = fan_out(false);
+        let observed = fan_out(true);
+        // The bare run reused finished children's slots; the observed
+        // one kept every slot, so their process ids differ.
+        assert!(bare.processes.len() < observed.processes.len());
+        assert_eq!(bare.world(), observed.world());
+        assert_eq!(bare.now(), observed.now());
+        assert_eq!(bare.events_processed(), observed.events_processed());
+        assert_eq!(bare.schedule_digest(), observed.schedule_digest());
     }
 }
