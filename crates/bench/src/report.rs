@@ -44,12 +44,6 @@ pub struct StackRun {
     /// static verifier. Always true for runs that completed: every comm
     /// verifies its plan before launch and a finding aborts the run.
     pub verified: bool,
-    /// Whether the plan also passed the semantic dataflow pass — the
-    /// proof that it computes its declared collective, not merely that
-    /// it is transport-safe. Always true for runs that completed: the
-    /// semantic pass is on by default in every comm's pre-launch
-    /// verification, and a semantic finding aborts the run.
-    pub semantics_verified: bool,
     /// Every metrics counter, in name order.
     pub counters: Vec<(String, u64)>,
     /// Per-link accounting (labeled resources only, non-idle first).
@@ -91,7 +85,6 @@ pub(crate) fn snapshot(
         bytes,
         latency_us,
         verified: true,
-        semantics_verified: true,
         counters: engine
             .metrics()
             .counters()
@@ -157,7 +150,9 @@ fn write_run(w: &mut Writer, run: &StackRun) {
         .field("bytes", run.bytes);
     w.field("latency_us", Fixed(run.latency_us, 3));
     w.field("verified", run.verified);
-    w.field("semantics_verified", run.semantics_verified);
+    // Every comm's pre-launch proof includes the semantic dataflow pass
+    // and a finding aborts the run, so a completed run always passed it.
+    w.field("semantics_verified", true);
     w.key("counters").begin_obj();
     for (k, v) in &run.counters {
         w.field(k, v);
@@ -251,11 +246,6 @@ mod tests {
         for run in &runs {
             assert!(run.latency_us > 0.0, "{}", run.stack);
             assert!(run.verified, "{}: plan was not verified", run.stack);
-            assert!(
-                run.semantics_verified,
-                "{}: plan was not semantically verified",
-                run.stack
-            );
             assert!(run.counter("sync.waits") > 0, "{}", run.stack);
             assert!(
                 run.links.iter().any(|l| l.bytes > 0),

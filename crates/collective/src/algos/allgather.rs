@@ -2,11 +2,11 @@
 //! hierarchical for multi-node clusters (§5.1's AllGather evaluation).
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup};
 
 use super::Plan;
 use crate::algos::allreduce::PeerOrder;
-use crate::wiring::{isect, node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{isect, node_groups, MemMesh, PortMesh};
 
 /// Chunk size for pipelined PortChannel transfers.
 const PORT_CHUNK: usize = 1 << 20;

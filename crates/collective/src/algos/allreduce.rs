@@ -12,12 +12,12 @@ use std::cell::Cell;
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{
-    DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError, MemoryChannel, Protocol, Result,
-    Setup, SwitchChannel,
+    split_range, DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError, MemoryChannel,
+    Protocol, Result, Setup, SwitchChannel,
 };
 
 use super::Plan;
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 /// How an LL-protocol algorithm makes its scratch safe for the next
 /// launch (the rotating-buffers ablation of §4.4).

@@ -3,10 +3,10 @@
 //! variant on hardware with multimem support.
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
+use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
 
 use super::Plan;
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 /// Broadcast from a root rank.
 ///

@@ -3,10 +3,10 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
 
 use super::Plan;
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
     (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)

@@ -71,12 +71,11 @@ use std::rc::Rc;
 
 use commverify::{CollectiveSpec, SpecMember};
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
-use mscclpp::{Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
+use mscclpp::{split_range, Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
 use sim::{Duration, Engine};
 
 use algos::Plan;
 use selector::{select_all_to_all, select_broadcast, select_reduce_scatter, Live};
-use wiring::split_range;
 
 pub use algos::{PeerOrder, ScratchReuse};
 pub use selector::{select_all_gather, select_all_reduce};
@@ -331,6 +330,10 @@ type Shape = (usize, DataType, ReduceOp);
 /// cleared a kernel batch built from it.
 struct Entry {
     cap: usize,
+    /// Whether the first kernel batch built from this plan has passed
+    /// `commverify`; a finding aborts that launch with
+    /// [`mscclpp::Error::Verification`]. Launches are balanced per cell,
+    /// so clearing the first batch clears every identical launch.
     verified: Cell<bool>,
     plan: Box<dyn Plan>,
     /// The kernel batch last built from this plan, with the launch shape
@@ -362,7 +365,6 @@ pub struct CollComm {
     pending: RefCell<Option<Launch>>,
     prepared: RefCell<HashMap<Key, Entry>>,
     custom_all_reduce: Option<Box<dyn CustomAllReduce>>,
-    verify: bool,
     sanitize: bool,
     /// Straggler detection policy; `None` (the default) disables the
     /// per-launch completion-time tracking entirely.
@@ -406,7 +408,6 @@ impl CollComm {
             pending: RefCell::new(None),
             prepared: RefCell::new(HashMap::new()),
             custom_all_reduce: None,
-            verify: true,
             sanitize: false,
             straggler_policy: Cell::new(None),
             straggler: RefCell::new(StragglerState::default()),
@@ -425,16 +426,6 @@ impl CollComm {
             .borrow()
             .clone()
             .unwrap_or_else(|| engine.world().topology().ranks().collect())
-    }
-
-    /// Enables or disables plan verification (on by default). When on,
-    /// the first kernel batch built from each prepared plan runs through
-    /// the `commverify` static verifier before launch; a finding aborts
-    /// the collective with [`mscclpp::Error::Verification`]. Built-in
-    /// launches are balanced per synchronization cell, so clearing the
-    /// first batch clears every subsequent identical launch.
-    pub fn set_verify(&mut self, on: bool) {
-        self.verify = on;
     }
 
     /// Enables or disables the dynamic sanitizer (off by default). When
@@ -882,7 +873,7 @@ impl CollComm {
     ) -> Result<KernelTiming> {
         let launch = self.fit(engine, caller, launch);
         let kernels = self.build(engine, &launch)?;
-        if self.verify && !self.prepared.borrow()[&launch.key].verified.get() {
+        if !self.prepared.borrow()[&launch.key].verified.get() {
             let spec = self.spec(engine, &launch)?;
             let checks = commverify::Checks::all();
             commverify::verify_collective(&kernels, engine.world().pool(), &checks, &spec)?;

@@ -23,59 +23,40 @@ impl fmt::Display for Site {
     }
 }
 
-/// Which checks to run. All are on by default; presets exist for
-/// instruction styles where a check is structurally inapplicable.
+/// Which checks to run: every check, or every check except orphan
+/// signals, for instruction styles where that one is structurally
+/// inapplicable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checks {
-    /// Buffer accesses within registered memory sizes.
-    pub bounds: bool,
-    /// Signal/wait imbalances and happens-before cycles (static deadlock).
-    pub sync: bool,
-    /// Unsynchronized conflicting accesses to overlapping ranges.
-    pub races: bool,
-    /// Explicit signals whose semaphore is never waited on.
-    pub orphan_signals: bool,
-    /// Port puts with no completion guarantee before kernel exit.
-    pub unflushed_puts: bool,
-    /// Semantic dataflow: the final provenance of every output range
-    /// matches the declared [`crate::CollectiveSpec`]. Only runs when the
-    /// caller supplies a spec (see [`crate::analyze_collective`]) and the
-    /// plan is race-free (provenance is only well-defined then).
-    pub semantics: bool,
+    /// Report explicit signals whose semaphore is never waited on.
+    pub(crate) orphan_signals: bool,
 }
 
 impl Default for Checks {
     fn default() -> Checks {
         Checks {
-            bounds: true,
-            sync: true,
-            races: true,
             orphan_signals: true,
-            unflushed_puts: true,
-            semantics: true,
         }
     }
 }
 
 impl Checks {
-    /// Every check enabled (the default).
+    /// Every check enabled (the default): bounds, sync (imbalances and
+    /// happens-before cycles), races, orphan signals, unflushed port
+    /// puts, and — when the caller supplies a [`crate::CollectiveSpec`]
+    /// and the plan is race-free — semantic dataflow.
     pub fn all() -> Checks {
         Checks::default()
     }
 
-    /// Preset for NCCL-style transports (`ncclsim`, `msccl`): orphan
-    /// signals are expected there, because rendezvous *credit* semaphores
-    /// are signalled on every receive but only waited on once the sender
-    /// wraps the staging FIFO — a short transfer legitimately leaves them
-    /// dangling. Semantics is off by default here because carried-over
-    /// FIFO credits on re-launches make later batches' dataflow depend on
-    /// state this pass cannot see; transports that verify their *first*
-    /// launch opt back in with `Checks { semantics: true, ..Checks::transport() }`.
+    /// Preset for NCCL-style transports (`ncclsim`, `msccl`): every check
+    /// except orphan signals, which are expected there, because
+    /// rendezvous *credit* semaphores are signalled on every receive but
+    /// only waited on once the sender wraps the staging FIFO — a short
+    /// transfer legitimately leaves them dangling.
     pub fn transport() -> Checks {
         Checks {
             orphan_signals: false,
-            semantics: false,
-            ..Checks::default()
         }
     }
 }
@@ -440,13 +421,12 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether no *enabled* check fired. The families a clean report
-    /// covers are exactly the [`Checks`] that produced it: bounds,
-    /// sync (imbalance + deadlock cycles), races, orphan signals,
-    /// unflushed port puts, and — when a [`crate::CollectiveSpec`] was
-    /// supplied — semantic dataflow (missing/duplicate/misplaced/stale
-    /// output ranges). A clean report from a spec-less analysis says
-    /// nothing about semantic correctness.
+    /// Whether no check fired. A clean report covers bounds, sync
+    /// (imbalance + deadlock cycles), races, unflushed port puts, orphan
+    /// signals unless the [`Checks::transport`] preset produced it, and —
+    /// when a [`crate::CollectiveSpec`] was supplied — semantic dataflow
+    /// (missing/duplicate/misplaced/stale output ranges). A clean report
+    /// from a spec-less analysis says nothing about semantic correctness.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }

@@ -15,7 +15,7 @@ use crate::error::{Checks, Site, VerifyError};
 use crate::model::{Access, Kind, Model};
 use crate::semantics::{self, CollectiveSpec};
 
-/// Runs all enabled checks over an extracted model.
+/// Runs the checks `checks` selects over an extracted model.
 pub(crate) fn analyze(
     model: &Model,
     pool: &MemoryPool,
@@ -23,17 +23,12 @@ pub(crate) fn analyze(
     spec: Option<&CollectiveSpec>,
 ) -> Vec<VerifyError> {
     let mut findings = Vec::new();
-    let graph = Graph::build(model, checks, &mut findings);
-
-    if checks.bounds {
-        check_bounds(model, pool, &mut findings);
-    }
+    let graph = Graph::build(model, &mut findings);
+    check_bounds(model, pool, &mut findings);
 
     match graph.topo_order() {
         Ok(order) => {
-            if checks.races {
-                check_races(model, &graph, &order, &mut findings);
-            }
+            check_races(model, &graph, &order, &mut findings);
             // The provenance pass replays one linearization; that final
             // state only speaks for *every* linearization when
             // conflicting accesses are ordered, so a racy plan skips
@@ -41,30 +36,24 @@ pub(crate) fn analyze(
             let racy = findings
                 .iter()
                 .any(|f| matches!(f, VerifyError::Race { .. }));
-            if checks.semantics && !racy {
-                if let Some(spec) = spec {
-                    let located: Vec<(usize, usize)> =
-                        order.iter().map(|&id| graph.locate(id)).collect();
-                    semantics::check(model, &located, spec, &mut findings);
-                }
+            if let Some(spec) = spec.filter(|_| !racy) {
+                let located: Vec<(usize, usize)> =
+                    order.iter().map(|&id| graph.locate(id)).collect();
+                semantics::check(model, &located, spec, &mut findings);
             }
         }
         Err(cycle) => {
-            if checks.sync {
-                findings.push(VerifyError::DeadlockCycle {
-                    path: cycle.iter().map(|&id| graph.site(model, id)).collect(),
-                });
-            }
+            findings.push(VerifyError::DeadlockCycle {
+                path: cycle.iter().map(|&id| graph.site(model, id)).collect(),
+            });
         }
     }
 
     if checks.orphan_signals {
         check_orphans(model, &mut findings);
     }
-    if checks.unflushed_puts {
-        for &site in &model.unflushed {
-            findings.push(VerifyError::UnflushedPortPut { site });
-        }
+    for &site in &model.unflushed {
+        findings.push(VerifyError::UnflushedPortPut { site });
     }
     findings
 }
@@ -105,9 +94,8 @@ impl Graph {
     }
 
     /// Builds every edge class; imbalance findings fall out of wait
-    /// matching and are appended to `findings` directly (gated on
-    /// `checks.sync`).
-    fn build(model: &Model, checks: &Checks, findings: &mut Vec<VerifyError>) -> Graph {
+    /// matching and are appended to `findings` directly.
+    fn build(model: &Model, findings: &mut Vec<VerifyError>) -> Graph {
         let mut offsets = Vec::with_capacity(model.threads.len() + 1);
         let mut total = 0;
         for t in &model.threads {
@@ -163,14 +151,12 @@ impl Graph {
                 let per_thread = incs.get(&w.cell).unwrap_or(&empty);
                 let total_incs: u64 = per_thread.values().map(|v| v.len() as u64).sum();
                 if w.needed > total_incs {
-                    if checks.sync {
-                        findings.push(VerifyError::SignalWaitImbalance {
-                            wait: ev.site,
-                            cell: model.cell_name(w.cell),
-                            needed: w.needed,
-                            available: total_incs,
-                        });
-                    }
+                    findings.push(VerifyError::SignalWaitImbalance {
+                        wait: ev.site,
+                        cell: model.cell_name(w.cell),
+                        needed: w.needed,
+                        available: total_incs,
+                    });
                     continue;
                 }
                 let wait_id = g.id(t, i);
@@ -210,20 +196,18 @@ impl Graph {
             let parties = *model.barriers.get(cell).unwrap_or(&0);
             let rounds: HashSet<usize> = per_thread.values().map(Vec::len).collect();
             if per_thread.len() != parties || rounds.len() != 1 {
-                if checks.sync {
-                    let first = per_thread
-                        .values()
-                        .filter_map(|v| v.first())
-                        .min()
-                        .copied()
-                        .unwrap_or(0);
-                    findings.push(VerifyError::SignalWaitImbalance {
-                        wait: g.site(model, first),
-                        cell: model.cell_name(*cell),
-                        needed: parties as u64,
-                        available: per_thread.len() as u64,
-                    });
-                }
+                let first = per_thread
+                    .values()
+                    .filter_map(|v| v.first())
+                    .min()
+                    .copied()
+                    .unwrap_or(0);
+                findings.push(VerifyError::SignalWaitImbalance {
+                    wait: g.site(model, first),
+                    cell: model.cell_name(*cell),
+                    needed: parties as u64,
+                    available: per_thread.len() as u64,
+                });
                 continue;
             }
             // Round k exits only once every party's round-k arrival has

@@ -29,8 +29,13 @@
 //! (true of all built-in algorithms); with multiple waiters the counted
 //! rule keeps only guaranteed edges, so extra races may be reported but
 //! ordered pairs are never misclassified as racing. Callers that reuse
-//! channel state across launches (NCCL-style FIFO credits) should verify
-//! the first launch only — see [`Checks::transport`].
+//! channel state across launches (NCCL-style FIFO credits) prove the
+//! first launch only, with [`Checks::transport`]: every check except
+//! orphan signals, which credit semaphores legitimately leave behind.
+//!
+//! Every family above always runs; [`Checks::all`] and
+//! [`Checks::transport`] differ only in the orphan-signal check, and the
+//! semantic pass runs whenever a spec is given and the plan is race-free.
 //!
 //! The dynamic counterpart lives in the `mscclpp` crate
 //! ([`mscclpp::run_kernels_sanitized`]): a vector-clock sanitizer over a
@@ -64,10 +69,10 @@ fn analyze_inner(
     report
 }
 
-/// Analyzes a kernel batch with an explicit check selection and returns
-/// every finding. Without a [`CollectiveSpec`] the semantic dataflow
-/// pass has nothing to check against and is skipped even when
-/// [`Checks::semantics`] is set — use [`analyze_collective`] to run it.
+/// Analyzes a kernel batch with a check preset and returns every
+/// finding. Without a [`CollectiveSpec`] the semantic dataflow pass has
+/// nothing to check against and is skipped — use [`analyze_collective`]
+/// to run it.
 pub fn analyze_with(kernels: &[Kernel], pool: &MemoryPool, checks: &Checks) -> Report {
     analyze_inner(kernels, pool, checks, None)
 }
@@ -77,33 +82,23 @@ pub fn analyze_kernels(kernels: &[Kernel], pool: &MemoryPool) -> Report {
     analyze_with(kernels, pool, &Checks::all())
 }
 
-/// Verifies a kernel batch with an explicit check selection, returning
-/// the first (highest-priority) finding as an error.
+/// Verifies a kernel batch with all checks enabled, returning the first
+/// (highest-priority) finding as an error.
 // The Err is a rich diagnostic carrying both instruction sites; it is
 // constructed once per aborted launch, never on the success path.
 #[allow(clippy::result_large_err)]
-pub fn verify_kernels_with(
-    kernels: &[Kernel],
-    pool: &MemoryPool,
-    checks: &Checks,
-) -> Result<(), VerifyError> {
-    let report = analyze_with(kernels, pool, checks);
-    match report.findings.into_iter().next() {
+pub fn verify_kernels(kernels: &[Kernel], pool: &MemoryPool) -> Result<(), VerifyError> {
+    match analyze_kernels(kernels, pool).findings.into_iter().next() {
         None => Ok(()),
         Some(f) => Err(f),
     }
 }
 
-/// Verifies a kernel batch with all checks enabled.
-#[allow(clippy::result_large_err)]
-pub fn verify_kernels(kernels: &[Kernel], pool: &MemoryPool) -> Result<(), VerifyError> {
-    verify_kernels_with(kernels, pool, &Checks::all())
-}
-
 /// Analyzes a kernel batch against a declared collective: all the checks
 /// of [`analyze_with`], plus the semantic dataflow pass proving every
 /// member's output range holds exactly the contributions `spec` demands
-/// (gated on [`Checks::semantics`] and on the plan being race-free).
+/// (skipped when the plan races: provenance is only well-defined for a
+/// race-free plan).
 pub fn analyze_collective(
     kernels: &[Kernel],
     pool: &MemoryPool,

@@ -67,6 +67,16 @@ fn missing_peer_contribution_is_reported() {
         }],
         "{report}"
     );
+
+    // The transport preset drops only orphan signals: the semantic pass
+    // still runs against the spec and reports the same finding.
+    let transport = commverify::analyze_collective(
+        &kernels,
+        engine.world().pool(),
+        &Checks::transport(),
+        &spec,
+    );
+    assert_eq!(transport.findings, report.findings, "{transport}");
 }
 
 #[test]

@@ -224,8 +224,8 @@ fn msccl_golden() {
 
 #[test]
 fn dsl_builtins_golden() {
-    // CompileOptions { verify: true } is the default: a finding in any
-    // built-in program would abort compilation here.
+    // The compiler always verifies: a finding in any built-in program
+    // would abort compilation here.
     use mscclpp_dsl::{algorithms, CompileOptions};
     let progs = [
         ("one_phase", algorithms::one_phase_all_reduce(8).unwrap(), 1),

@@ -58,11 +58,6 @@ impl MemoryPool {
         BufferId(self.buffers.len() - 1)
     }
 
-    /// Number of buffers allocated so far.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Size in bytes of a buffer.
     pub fn len(&self, buf: BufferId) -> usize {
         self.buffers[buf.0].data.len()
@@ -85,15 +80,6 @@ impl MemoryPool {
     /// Panics if the range is out of bounds.
     pub fn bytes(&self, buf: BufferId, off: usize, len: usize) -> &[u8] {
         &self.buffers[buf.0].data[off..off + len]
-    }
-
-    /// Mutable view of `len` bytes at `off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn bytes_mut(&mut self, buf: BufferId, off: usize, len: usize) -> &mut [u8] {
-        &mut self.buffers[buf.0].data[off..off + len]
     }
 
     /// Overwrites `len` bytes at `dst_off` with `src`.

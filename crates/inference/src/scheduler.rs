@@ -979,7 +979,6 @@ pub(crate) fn run(
         makespan_us: clock_us,
         decode_throughput: generated_tokens as f64 / secs,
         mean_latency_us: latency_sum / completed.max(1) as f64,
-        p95_latency_us: req_hist.p95() as f64 / 1e3,
         request_latency: LatencyStats::from_hist(&req_hist),
         step_latency: LatencyStats::from_hist(&step_hist),
         decode_time_fraction: if clock_us > 0.0 {

@@ -38,8 +38,8 @@
 
 #![allow(clippy::needless_range_loop)] // conn grids are indexed by construction
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{Kernel, KernelBuilder, KernelTiming, Result, Setup};
-use ncclsim::{split_range, Conn, Launcher, NcclConfig, Prims, Proto};
+use mscclpp::{split_range, Kernel, KernelBuilder, KernelTiming, Result, Setup};
+use ncclsim::{Conn, Launcher, NcclConfig, Prims, Proto};
 use sim::Engine;
 
 /// MSCCL stack configuration: the NCCL transport constants plus MSCCL's
@@ -140,11 +140,6 @@ impl MscclComm {
             cross,
             launcher: Launcher::new("msccl", n, setup.overheads().clone()),
         }
-    }
-
-    /// Enables or disables plan verification (on by default).
-    pub fn set_verify(&self, on: bool) {
-        self.launcher.set_verify(on);
     }
 
     /// MSCCL's size-based algorithm selection (mirrors the MSCCL

@@ -21,8 +21,8 @@ use std::collections::HashMap;
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
 use mscclpp::{
-    run_kernels, Kernel, KernelBuilder, KernelTiming, MemoryChannel, Overheads, PortChannel,
-    Protocol, Semaphore, Setup, SwitchChannel,
+    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, MemoryChannel, Overheads,
+    PortChannel, Protocol, Semaphore, Setup, SwitchChannel,
 };
 use sim::Engine;
 
@@ -39,10 +39,6 @@ pub struct CompileOptions {
     pub dtype: DataType,
     /// Reduction operator.
     pub op: ReduceOp,
-    /// Run the `commverify` static verifier over the compiled instruction
-    /// streams before returning the executable (on by default). A finding
-    /// surfaces as [`DslError::Verify`].
-    pub verify: bool,
 }
 
 impl Default for CompileOptions {
@@ -52,16 +48,8 @@ impl Default for CompileOptions {
             instances: 1,
             dtype: DataType::F32,
             op: ReduceOp::Sum,
-            verify: true,
         }
     }
-}
-
-/// Splits `total` into `parts` nearly-equal ranges.
-fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    (idx * base + idx.min(rem), base + usize::from(idx < rem))
 }
 
 /// Chunk provenance for synchronization inference (per thread block).
@@ -160,7 +148,9 @@ impl Program {
     /// Returns [`DslError`] when buffer sizes are not divisible by the
     /// inferred chunk counts, for cross-node direct reduces, or when
     /// channel construction fails (e.g. multimem ops on hardware without
-    /// a switch).
+    /// a switch). The `commverify` static verifier proves the compiled
+    /// instruction streams before they are returned; a finding surfaces
+    /// as [`DslError::Verify`].
     pub fn compile(
         &self,
         setup: &mut Setup<'_>,
@@ -246,21 +236,19 @@ impl Program {
         }
 
         let kernels: Vec<Kernel> = builders.into_iter().map(KernelBuilder::build).collect();
-        if opts.verify {
-            match self.spec(inputs, outputs, in_len, out_len)? {
-                // A declared collective gets the full treatment: the
-                // semantic dataflow pass proves the compiled streams
-                // compute it, on top of the structural checks.
-                Some(spec) => commverify::verify_collective(
-                    &kernels,
-                    setup.engine_mut().world().pool(),
-                    &commverify::Checks::all(),
-                    &spec,
-                )
+        match self.spec(inputs, outputs, in_len, out_len)? {
+            // A declared collective gets the full treatment: the
+            // semantic dataflow pass proves the compiled streams
+            // compute it, on top of the structural checks.
+            Some(spec) => commverify::verify_collective(
+                &kernels,
+                setup.engine_mut().world().pool(),
+                &commverify::Checks::all(),
+                &spec,
+            )
+            .map_err(|e| DslError::Verify(e.to_string()))?,
+            None => commverify::verify_kernels(&kernels, setup.engine_mut().world().pool())
                 .map_err(|e| DslError::Verify(e.to_string()))?,
-                None => commverify::verify_kernels(&kernels, setup.engine_mut().world().pool())
-                    .map_err(|e| DslError::Verify(e.to_string()))?,
-            }
         }
         Ok(Executable {
             name: self.name.clone(),

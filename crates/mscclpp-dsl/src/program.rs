@@ -143,11 +143,11 @@ impl Program {
         }
     }
 
-    /// Declares which collective this program computes. When set and
-    /// [`crate::CompileOptions::verify`] is on, the compiler checks the
-    /// compiled instruction streams *semantically* against the declared
-    /// collective (every output byte range holds exactly the declared
-    /// contributions) and rejects divergence as [`DslError::Verify`].
+    /// Declares which collective this program computes. When set, the
+    /// compiler checks the compiled instruction streams *semantically*
+    /// against the declared collective (every output byte range holds
+    /// exactly the declared contributions) and rejects divergence as
+    /// [`DslError::Verify`].
     pub fn declare_collective(&mut self, collective: DeclaredCollective) -> &mut Self {
         self.collective = Some(collective);
         self

@@ -404,25 +404,15 @@ impl Kernel {
     pub fn instr_count(&self) -> usize {
         self.blocks.iter().map(Vec::len).sum()
     }
+}
 
-    /// Instruction mix of this kernel: `(mnemonic, count)` pairs in
-    /// mnemonic order.
-    pub fn instr_mix(&self) -> Vec<(&'static str, u64)> {
-        let mut mix = [0u64; Instr::KIND_COUNT];
-        for block in &self.blocks {
-            for instr in block {
-                mix[instr.opcode()] += 1;
-            }
-        }
-        let mut out: Vec<(&'static str, u64)> = mix
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (Instr::MNEMONICS[k], c))
-            .collect();
-        out.sort_unstable_by_key(|&(m, _)| m);
-        out
-    }
+/// Splits `total` into `parts` nearly-equal ranges; returns `(start, len)`
+/// of range `idx`. Thread blocks, channels and rank shards all slice
+/// their byte ranges this way.
+pub fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
+    let base = total / parts;
+    let rem = total % parts;
+    (idx * base + idx.min(rem), base + usize::from(idx < rem))
 }
 
 /// Builds a [`Kernel`] block by block.
@@ -871,5 +861,20 @@ mod tests {
         assert_eq!(k.instr_count(), 2);
         assert_eq!(k.rank, Rank(3));
         assert_eq!(k.regs_per_thread, 32);
+    }
+
+    #[test]
+    fn split_range_covers_everything_without_overlap() {
+        for total in [0usize, 1, 7, 64, 1000] {
+            for parts in [1usize, 3, 8] {
+                let mut covered = 0;
+                for i in 0..parts {
+                    let (s, l) = split_range(total, parts, i);
+                    assert_eq!(s, covered, "ranges must be contiguous");
+                    covered += l;
+                }
+                assert_eq!(covered, total);
+            }
+        }
     }
 }

@@ -2,12 +2,12 @@
 //! (ring and tree), mirroring the architecture of §2.2.1.
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{Kernel, KernelBuilder, KernelTiming, Result, Setup};
+use mscclpp::{split_range, Kernel, KernelBuilder, KernelTiming, Result, Setup};
 use sim::Engine;
 
 use crate::config::{Algo, Choice, NcclConfig, Proto};
 use crate::conn::Conn;
-use crate::launch::{split_range, Launcher};
+use crate::launch::Launcher;
 use crate::prims::Prims;
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -157,11 +157,6 @@ impl NcclComm {
     /// The stack configuration.
     pub fn config(&self) -> &NcclConfig {
         &self.cfg
-    }
-
-    /// Enables or disables plan verification (on by default).
-    pub fn set_verify(&self, on: bool) {
-        self.launcher.set_verify(on);
     }
 
     /// Compiles ring-AllReduce kernels (Figure 1's ReduceScatter followed

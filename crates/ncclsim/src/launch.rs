@@ -9,14 +9,6 @@ use hw::{BufferId, Machine, Rank};
 use mscclpp::{run_kernels, Kernel, KernelTiming, Overheads, Result};
 use sim::Engine;
 
-/// Splits `total` into `parts` nearly-equal ranges; returns the
-/// `(start, len)` of range `idx`.
-pub fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    (idx * base + idx.min(rem), base + usize::from(idx < rem))
-}
-
 /// Launches one communicator's kernel batches: records each batch's
 /// emitted instruction mix under the stack's counter prefix, proves the
 /// first batch, and runs it.
@@ -30,24 +22,22 @@ pub struct Launcher {
     stack: &'static str,
     world: usize,
     ov: Overheads,
-    verify: Cell<bool>,
+    /// Whether the first launch has been put to the proof. Later
+    /// launches carry banked FIFO credits, which the fresh-cell model
+    /// cannot judge soundly, so there is no way to ask for their proof.
+    proved: Cell<bool>,
 }
 
 impl Launcher {
     /// A launcher for a full-world communicator of `world` ranks whose
-    /// counters are prefixed `stack` (`nccl`, `msccl`). Verification is on.
+    /// counters are prefixed `stack` (`nccl`, `msccl`).
     pub fn new(stack: &'static str, world: usize, ov: Overheads) -> Launcher {
         Launcher {
             stack,
             world,
             ov,
-            verify: Cell::new(true),
+            proved: Cell::new(false),
         }
-    }
-
-    /// Enables or disables verification of the next launch.
-    pub fn set_verify(&self, on: bool) {
-        self.verify.set(on);
     }
 
     /// Records, verifies (first launch only) and runs `kernels`. `spec`
@@ -69,7 +59,7 @@ impl Launcher {
         spec: impl FnOnce(Vec<SpecMember>) -> CollectiveSpec,
     ) -> Result<KernelTiming> {
         mscclpp::record_launch_mix(engine, self.stack, kernels);
-        if self.verify.replace(false) {
+        if !self.proved.replace(true) {
             let members = (0..self.world)
                 .map(|r| SpecMember {
                     rank: Rank(r),
@@ -77,10 +67,7 @@ impl Launcher {
                     output: output[r],
                 })
                 .collect();
-            let checks = commverify::Checks {
-                semantics: true,
-                ..commverify::Checks::transport()
-            };
+            let checks = commverify::Checks::transport();
             commverify::verify_collective(kernels, engine.world().pool(), &checks, &spec(members))?;
         }
         run_kernels(engine, kernels, &self.ov)

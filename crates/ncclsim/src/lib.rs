@@ -57,5 +57,5 @@ mod prims;
 pub use comm::NcclComm;
 pub use config::{tune, tuning_candidates, Algo, Choice, NcclConfig, Proto};
 pub use conn::Conn;
-pub use launch::{split_range, Launcher};
+pub use launch::Launcher;
 pub use prims::Prims;

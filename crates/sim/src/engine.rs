@@ -355,11 +355,6 @@ impl<W> Ctx<'_, W> {
         done
     }
 
-    /// The instant a resource becomes free (without occupying it).
-    pub fn resource_free_at(&self, resource: ResourceId) -> Time {
-        self.core.resources[resource.0]
-    }
-
     /// Total time this resource has been occupied so far (for
     /// utilization reporting).
     pub fn resource_busy(&self, resource: ResourceId) -> Duration {
@@ -826,11 +821,6 @@ impl<W> Engine<W> {
     /// it, and collective planning consults its permanent outages.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.core.faults = Some(plan);
-    }
-
-    /// Removes the fault schedule, if any, and returns it.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.core.faults.take()
     }
 
     /// The active fault plan, if injection is enabled.

@@ -30,7 +30,7 @@ fn main() {
             r.makespan_us / 1e3,
             r.decode_throughput,
             r.mean_latency_us / 1e3,
-            r.p95_latency_us / 1e3,
+            r.request_latency.p95_us / 1e3,
             r.ttft.p99_us / 1e3,
             r.decode_time_fraction * 100.0
         );
